@@ -20,9 +20,14 @@ from .fields import (
     Grid2D,
     ScalarField,
     VectorField,
-    _deriv,
+    _div_hat,
+    _grad_hat,
+    _irfft,
+    _rfft,
+    _rfft_inner,
     _rfft_mode_mask,
     _rfft_wavenumbers,
+    _velocity_gradient,
     divergence,
     norms,
 )
@@ -103,94 +108,46 @@ class EnergyLedger:
 
 
 def _truncate(grid: Grid2D, vals, cutoff):
-    mask = _rfft_mode_mask(grid, cutoff)
-    return np.fft.irfft2(np.fft.rfft2(vals) * mask, s=(grid.n1, grid.n2))
-
-
-def _dealias_product(grid: Grid2D, a, b, cutoff):
-    return _truncate(grid, a * b, cutoff)
-
-
-def momentum_rhs(state: SimulationState, law: ViscosityLaw, f: Optional[VectorField],
-                 cutoff=None) -> VectorField:
-    """Conservative momentum right side before pressure:
-    -div(rho u (x) u) + div(mu_e S) + div(mu_o S_odd) + rho f.
-    All nonlinear products are dealiased by the 2/3 rule.
-    """
-    grid = state.rho.grid
-    if cutoff is None:
-        cutoff = min(grid.n1, grid.n2) // 3
-    rho = state.rho.values
-    u1, u2 = state.u.comp1, state.u.comp2
-    ru1 = _dealias_product(grid, rho, u1, cutoff)
-    ru2 = _dealias_product(grid, rho, u2, cutoff)
-    t11 = _dealias_product(grid, ru1, u1, cutoff)
-    t12 = _dealias_product(grid, ru1, u2, cutoff)
-    t22 = _dealias_product(grid, ru2, u2, cutoff)
-    conv1 = -(_deriv(grid, t11, 0) + _deriv(grid, t12, 1))
-    conv2 = -(_deriv(grid, t12, 0) + _deriv(grid, t22, 1))
-    v1, v2 = _viscous_force(grid, law, rho, state.u, cutoff)
-    r1 = conv1 + v1
-    r2 = conv2 + v2
-    if f is not None:
-        r1 = r1 + _dealias_product(grid, rho, f.comp1, cutoff)
-        r2 = r2 + _dealias_product(grid, rho, f.comp2, cutoff)
-    return VectorField(grid, r1, r2)
-
-
-def _viscous_force(grid, law, rho, u, cutoff):
-    """div(mu_e S + mu_o S_odd), dealiased."""
-    me = law.mu_e(rho)
-    mo = law.mu_o(rho)
-    s = strain_sym(u)
-    o = strain_odd(u)
-    s11 = _dealias_product(grid, me, s.t11, cutoff) + _dealias_product(grid, mo, o.t11, cutoff)
-    s12 = _dealias_product(grid, me, s.t12, cutoff) + _dealias_product(grid, mo, o.t12, cutoff)
-    s22 = _dealias_product(grid, me, s.t22, cutoff) + _dealias_product(grid, mo, o.t22, cutoff)
-    f1 = _deriv(grid, s11, 0) + _deriv(grid, s12, 1)
-    f2 = _deriv(grid, s12, 0) + _deriv(grid, s22, 1)
-    return f1, f2
+    """Galerkin mode cutoff of a plane or a stack of planes."""
+    return _irfft(grid, _rfft(vals) * _rfft_mode_mask(grid, cutoff))
 
 
 def _advective_rhs(grid, law, rho, u: VectorField, f, cutoff):
-    """Velocity tendency before pressure: -(u.grad)u + div(sigma)/rho + f.
+    """Velocity tendency before pressure: -(u.grad)u + div(sigma)/rho + f,
+    as a (2, n1, n2) stack.
 
     Single fused spectral pass: velocity derivatives are computed once and
     shared by the advection term and both strain tensors; the 2/3 mask is
-    applied inside the same transform as each product's derivative.
+    applied inside the same transform as each product's derivative.  The
+    derivative stack is freed before the five products are transformed,
+    which bounds the peak memory.
     """
-    k1, k2 = _rfft_wavenumbers(grid)
     mask = _rfft_mode_mask(grid, cutoff)
     u1, u2 = u.comp1, u.comp2
-    shape = (grid.n1, grid.n2)
-    u1h = np.fft.rfft2(u1)
-    u2h = np.fft.rfft2(u2)
-    d1u1 = np.fft.irfft2(1j * k1 * u1h, s=shape)
-    d2u1 = np.fft.irfft2(1j * k2 * u1h, s=shape)
-    d1u2 = np.fft.irfft2(1j * k1 * u2h, s=shape)
-    d2u2 = np.fft.irfft2(1j * k2 * u2h, s=shape)
-    # dealiased advection term
-    adv1 = np.fft.irfft2(mask * np.fft.rfft2(u1 * d1u1 + u2 * d2u1), s=shape)
-    adv2 = np.fft.irfft2(mask * np.fft.rfft2(u1 * d1u2 + u2 * d2u2), s=shape)
-    # viscous stress entries from the shared derivatives
+    d1u1, d2u1, d1u2, d2u2 = _velocity_gradient(u)
     me = law.mu_e(rho)
     mo = law.mu_o(rho)
     off_sym = d2u1 + d1u2
     off_odd = d1u1 - d2u2
-    s11 = me * (2.0 * d1u1) + mo * (-off_sym)
-    s12 = me * off_sym + mo * off_odd
-    s22 = me * (2.0 * d2u2) + mo * off_sym
-    s11h = mask * np.fft.rfft2(s11)
-    s12h = mask * np.fft.rfft2(s12)
-    s22h = mask * np.fft.rfft2(s22)
-    v1 = np.fft.irfft2(1j * (k1 * s11h + k2 * s12h), s=shape)
-    v2 = np.fft.irfft2(1j * (k1 * s12h + k2 * s22h), s=shape)
-    g1 = -adv1 + v1 / rho
-    g2 = -adv2 + v2 / rho
+    prod = np.empty((5, grid.n1, grid.n2))
+    # advection term, then the viscous stress entries s11, s12, s22
+    prod[0] = u1 * d1u1 + u2 * d2u1
+    prod[1] = u1 * d1u2 + u2 * d2u2
+    prod[2] = me * (2.0 * d1u1) + mo * (-off_sym)
+    prod[3] = me * off_sym + mo * off_odd
+    prod[4] = me * (2.0 * d2u2) + mo * off_sym
+    del d1u1, d2u1, d1u2, d2u2, off_sym, off_odd, me, mo
+    phat = _rfft(prod)
+    del prod
+    phat *= mask
+    # div of the stress rows (s11, s12) and (s12, s22)
+    phat[2:4] = _div_hat(grid, phat[[[2, 3], [3, 4]]])
+    adv1, adv2, v1, v2 = _irfft(grid, phat[:4])
+    g = np.stack((-adv1 + v1 / rho, -adv2 + v2 / rho))
     if f is not None:
-        g1 = g1 + f.comp1
-        g2 = g2 + f.comp2
-    return g1, g2
+        g[0] += f.comp1
+        g[1] += f.comp2
+    return g
 
 
 class ProjectionError(RuntimeError):
@@ -198,60 +155,60 @@ class ProjectionError(RuntimeError):
 
 
 def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
-    """Solve div((1/rho) grad p) = source by preconditioned CG.
+    """Solve div((1/rho) grad p) = source by preconditioned CG on rfft2
+    coefficients: `source`, the warm start `p0` and the returned mean-zero
+    `p` are all rfft2 coefficient arrays.
 
     The operator is symmetric negative definite on mean-zero fields; the
     preconditioner is the constant-coefficient spectral inverse with the
-    mean inverse-density coefficient.  p0 is an optional warm start.
+    mean inverse-density coefficient, a diagonal on the coefficients.
+    Inner products are the physical ones by Parseval.
     """
     inv_rho = 1.0 / rho
     coeff = float(np.mean(inv_rho))
-    shape = (grid.n1, grid.n2)
     k1, k2 = _rfft_wavenumbers(grid)
     # the preconditioner must use the operator's own (Nyquist-zeroed)
-    # symbol, or the near-null Nyquist-line modes stall the iteration
+    # symbol, or the near-null Nyquist-line modes stall the iteration;
+    # the four modes where that symbol vanishes are dropped
     ksq = k1 * k1 + k2 * k2
     null = ksq == 0.0
-    ksq = np.where(null, 1.0, ksq)
+    inv_m = np.where(null, 0.0, 1.0 / (coeff * np.where(null, 1.0, ksq)))
 
-    def apply_a(p):
+    def apply_a(phat):
         # -div((1/rho) grad p): symmetric positive definite on mean zero
-        phat = np.fft.rfft2(p)
-        g1 = np.fft.irfft2(1j * k1 * phat, s=shape)
-        g2 = np.fft.irfft2(1j * k2 * phat, s=shape)
-        dhat = 1j * (k1 * np.fft.rfft2(inv_rho * g1) + k2 * np.fft.rfft2(inv_rho * g2))
-        return -np.fft.irfft2(dhat, s=shape)
+        g = _irfft(grid, _grad_hat(grid, phat))
+        g *= inv_rho
+        return -_div_hat(grid, _rfft(g))
 
-    def precond(r):
-        rhat = np.fft.rfft2(r)
-        rhat[null] = 0.0
-        return np.fft.irfft2(rhat / (coeff * ksq), s=shape)
+    def norm(a):
+        return np.sqrt(_rfft_inner(grid, a, a))
 
-    b = -(source - np.mean(source))
-    bnorm = np.sqrt(np.sum(b * b))
+    b = -source
+    b[null] = 0.0
+    bnorm = norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b)
     if p0 is None:
         p = np.zeros_like(b)
         r = b.copy()
     else:
-        p = p0 - np.mean(p0)
+        p = p0.copy()
+        p[null] = 0.0
         r = b - apply_a(p)
-        if np.sqrt(np.sum(r * r)) <= tol * bnorm:
-            return p - np.mean(p)
-    z = precond(r)
+        if norm(r) <= tol * bnorm:
+            return p
+    z = inv_m * r
     d = z.copy()
-    rz = np.sum(r * z)
+    rz = _rfft_inner(grid, r, z)
     for _ in range(max_iter):
         ad = apply_a(d)
-        alpha = rz / np.sum(d * ad)
+        alpha = rz / _rfft_inner(grid, d, ad)
         p += alpha * d
         r -= alpha * ad
-        if np.sqrt(np.sum(r * r)) <= tol * bnorm:
-            p -= np.mean(p)
+        if norm(r) <= tol * bnorm:
             return p
-        z = precond(r)
-        rz_new = np.sum(r * z)
+        z = inv_m * r
+        rz_new = _rfft_inner(grid, r, z)
         d = z + (rz_new / rz) * d
         rz = rz_new
     raise ProjectionError(
@@ -259,24 +216,19 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     )
 
 
-def _project_tendency(grid, rho, g1, g2, tol, max_iter, p0=None):
-    """Remove the (1/rho) grad q part of a tendency so it is divergence-free."""
-    src = _deriv(grid, g1, 0) + _deriv(grid, g2, 1)
-    q = solve_pressure(grid, rho, src, tol, max_iter, p0=p0)
-    inv_rho = 1.0 / rho
-    return (
-        g1 - inv_rho * _deriv(grid, q, 0),
-        g2 - inv_rho * _deriv(grid, q, 1),
-        q,
-    )
+def _project_tendency(grid, rho, g, tol, max_iter, p0=None):
+    """Remove the (1/rho) grad q part of a (2, n1, n2) tendency so it is
+    divergence-free.  Returns the projected stack and q's coefficients."""
+    qhat = solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), tol, max_iter, p0=p0)
+    return g - _irfft(grid, _grad_hat(grid, qhat)) / rho, qhat
 
 
 def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u: VectorField, f,
                      cutoff, tol=1e-10, max_iter=500, p0=None) -> np.ndarray:
-    """Mean-zero pressure consistent with the instantaneous state."""
-    g1, g2 = _advective_rhs(grid, law, rho, u, f, cutoff)
-    src = _deriv(grid, g1, 0) + _deriv(grid, g2, 1)
-    return solve_pressure(grid, rho, src, tol, max_iter, p0=p0)
+    """rfft2 coefficients of the mean-zero pressure consistent with the
+    instantaneous state."""
+    g = _advective_rhs(grid, law, rho, u, f, cutoff)
+    return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), tol, max_iter, p0=p0)
 
 
 def stable_dt(config: EvolveConfig, u: VectorField) -> float:
@@ -289,13 +241,6 @@ def stable_dt(config: EvolveConfig, u: VectorField) -> float:
     return dt
 
 
-def advect_density(rho: ScalarField, u: VectorField, dt: float) -> ScalarField:
-    """Bound-preserving, mass-restoring semi-Lagrangian transport step."""
-    if norms(divergence(u))["linf"] > 1e-8:
-        raise ValueError("advecting velocity is not divergence-free")
-    return advect_scalar(rho, u, dt)
-
-
 def step(state: SimulationState, config: EvolveConfig,
          force: Optional[ForceFn] = None, dt: Optional[float] = None,
          with_pressure: bool = True, warm: Optional[dict] = None) -> SimulationState:
@@ -303,7 +248,8 @@ def step(state: SimulationState, config: EvolveConfig,
     Galerkin mode truncation, diagnostic pressure recovery.
 
     `warm` is an optional mutable dict reused across steps to warm-start
-    the three CG solves by linear extrapolation of the previous solutions.
+    the three CG solves by linear extrapolation of the previous solutions,
+    all held as rfft2 coefficients.
     """
     grid = config.grid
     cutoff = config.cutoff
@@ -324,34 +270,28 @@ def step(state: SimulationState, config: EvolveConfig,
     rho_new = advect_scalar(state.rho, state.u, dt)
     rho0 = state.rho.values
     rho1 = rho_new.values
+    u0 = np.stack((state.u.comp1, state.u.comp2))
 
-    g1, g2 = _advective_rhs(grid, config.law, rho0, state.u, f_now, cutoff)
-    k1x, k1y, q1 = _project_tendency(
-        grid, rho0, g1, g2, config.cg_tol, config.cg_max_iter, p0=guess("q1")
+    g = _advective_rhs(grid, config.law, rho0, state.u, f_now, cutoff)
+    k1, q1 = _project_tendency(
+        grid, rho0, g, config.cg_tol, config.cg_max_iter, p0=guess("q1")
     )
-    u_mid = VectorField(
-        grid,
-        _truncate(grid, state.u.comp1 + dt * k1x, cutoff),
-        _truncate(grid, state.u.comp2 + dt * k1y, cutoff),
+    u_mid = VectorField(grid, *_truncate(grid, u0 + dt * k1, cutoff))
+    g = _advective_rhs(grid, config.law, rho1, u_mid, f_next, cutoff)
+    k2, q2 = _project_tendency(
+        grid, rho1, g, config.cg_tol, config.cg_max_iter, p0=guess("q2")
     )
-    g1, g2 = _advective_rhs(grid, config.law, rho1, u_mid, f_next, cutoff)
-    k2x, k2y, q2 = _project_tendency(
-        grid, rho1, g1, g2, config.cg_tol, config.cg_max_iter, p0=guess("q2")
-    )
-    u_new = VectorField(
-        grid,
-        _truncate(grid, state.u.comp1 + 0.5 * dt * (k1x + k2x), cutoff),
-        _truncate(grid, state.u.comp2 + 0.5 * dt * (k1y + k2y), cutoff),
-    )
+    u_new = VectorField(grid, *_truncate(grid, u0 + 0.5 * dt * (k1 + k2), cutoff))
     warm["q1_old"], warm["q2_old"] = warm.get("q1"), warm.get("q2")
     warm["q1"], warm["q2"] = q1, q2
     if with_pressure:
-        p = recover_pressure(
+        phat = recover_pressure(
             grid, config.law, rho1, u_new, f_next, cutoff,
             config.cg_tol, config.cg_max_iter, p0=guess("pr"),
         )
         warm["pr_old"] = warm.get("pr")
-        warm["pr"] = p
+        warm["pr"] = phat
+        p = _irfft(grid, phat)
     else:
         p = np.zeros((grid.n1, grid.n2))
     return SimulationState(state.t + dt, rho_new, u_new, ScalarField(grid, p))
@@ -386,9 +326,9 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     f0 = force(0.0) if force else None
     state = SimulationState(
         0.0, data.rho0, data.u0,
-        ScalarField(grid, recover_pressure(
+        ScalarField(grid, _irfft(grid, recover_pressure(
             grid, config.law, data.rho0.values, data.u0, f0, config.cutoff,
-            config.cg_tol, config.cg_max_iter)),
+            config.cg_tol, config.cg_max_iter))),
     )
     ledger = EnergyLedger()
     ledger.times.append(0.0)
@@ -460,12 +400,7 @@ def residual_weak_momentum(times, states, config: EvolveConfig,
             raise ValueError("test field is not divergence-free")
         phi = tf.phi
         sphi = strain_sym(phi)
-        gphi = {
-            (1, 1): _deriv(grid, phi.comp1, 0),
-            (1, 2): _deriv(grid, phi.comp1, 1),
-            (2, 1): _deriv(grid, phi.comp2, 0),
-            (2, 2): _deriv(grid, phi.comp2, 1),
-        }
+        g11, g12, g21, g22 = _velocity_gradient(phi)
         vals = []
         for t, st in zip(times, states):
             rho = st.rho.values
@@ -475,10 +410,10 @@ def residual_weak_momentum(times, states, config: EvolveConfig,
             integrand = -(rho * (u1 * phi.comp1 + u2 * phi.comp2)) * adot
             if a != 0.0:
                 uu = -(
-                    rho * u1 * u1 * gphi[(1, 1)]
-                    + rho * u1 * u2 * gphi[(1, 2)]
-                    + rho * u2 * u1 * gphi[(2, 1)]
-                    + rho * u2 * u2 * gphi[(2, 2)]
+                    rho * u1 * u1 * g11
+                    + rho * u1 * u2 * g12
+                    + rho * u2 * u1 * g21
+                    + rho * u2 * u2 * g22
                 )
                 me = law.mu_e(rho)
                 mo = law.mu_o(rho)

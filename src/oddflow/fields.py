@@ -2,7 +2,9 @@
 
 All differential operators are pseudo-spectral: exact (to rounding) for
 band-limited data.  The Nyquist mode is zeroed on differentiation so that
-derivatives of real fields stay real.
+derivatives of real fields stay real.  The operators here and the
+evolve solver transform through `_rfft`/`_irfft` (rfft2 layout,
+`scipy.fft`), which take stacked planes in one batched call.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 
 def _check_finite(name, a):
@@ -51,21 +54,6 @@ class Grid2D:
         x1 = np.arange(self.n1) * self.h1
         x2 = np.arange(self.n2) * self.h2
         return np.meshgrid(x1, x2, indexing="ij")
-
-    def wavenumbers(self):
-        """(k1, k2) on the fft2 layout, Nyquist mode zeroed."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n1, d=self.h1)
-        k2 = 2.0 * np.pi * np.fft.fftfreq(self.n2, d=self.h2)
-        k1[self.n1 // 2] = 0.0
-        k2[self.n2 // 2] = 0.0
-        return np.meshgrid(k1, k2, indexing="ij")
-
-    def laplacian_symbol(self):
-        """|k|^2 with the full (unzeroed) Nyquist wavenumbers."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n1, d=self.h1)
-        k2 = 2.0 * np.pi * np.fft.fftfreq(self.n2, d=self.h2)
-        kk1, kk2 = np.meshgrid(k1, k2, indexing="ij")
-        return kk1 * kk1 + kk2 * kk2
 
     def mode_numbers(self):
         """Integer mode indices (m1, m2) on the fft2 layout."""
@@ -154,11 +142,55 @@ def _rfft_laplacian_symbol(grid: Grid2D):
     return k1[:, None] ** 2 + k2[None, :] ** 2
 
 
+def _rfft(values):
+    """rfft2 over the last two axes; stacked planes go in one call."""
+    return scipy.fft.rfft2(values)
+
+
+def _irfft(grid, coeffs):
+    """Inverse of `_rfft` onto the grid, batched like it."""
+    return scipy.fft.irfft2(coeffs, s=(grid.n1, grid.n2))
+
+
+def _rfft_inner(grid, ahat, bhat):
+    """sum(a * b) over the grid of two real fields, from their rfft2
+    coefficients by Parseval."""
+    # a row of the float view holds (re, im) pairs, so summed products
+    # give Re(conj(a) b); columns 0 and n2/2 count once, every other
+    # column twice, for itself and its conjugate mirror
+    a, b = ahat.view(float), bhat.view(float)
+    total = (2.0 * np.einsum("ij,ij->", a, b)
+             - np.einsum("ij,ij->", a[:, :2], b[:, :2])
+             - np.einsum("ij,ij->", a[:, -2:], b[:, -2:]))
+    return float(total) / (grid.n1 * grid.n2)
+
+
 def _deriv(grid, values, axis):
     k1, k2 = _rfft_wavenumbers(grid)
     k = k1 if axis == 0 else k2
-    vhat = np.fft.rfft2(values)
-    return np.fft.irfft2(1j * k * vhat, s=(grid.n1, grid.n2))
+    return _irfft(grid, 1j * k * _rfft(values))
+
+
+def _grad_hat(grid, vhat):
+    """Gradient coefficients of each plane of `vhat`: a new axis of
+    length 2 (d1, d2) is put before the last two."""
+    k1, k2 = _rfft_wavenumbers(grid)
+    return np.stack((1j * k1 * vhat, 1j * k2 * vhat), axis=-3)
+
+
+def _div_hat(grid, vhat):
+    """Divergence coefficients of a vector field given as (..., 2, n1, m)
+    coefficients."""
+    k1, k2 = _rfft_wavenumbers(grid)
+    return 1j * (k1 * vhat[..., 0, :, :] + k2 * vhat[..., 1, :, :])
+
+
+def _velocity_gradient(u: VectorField):
+    """(d1 u1, d2 u1, d1 u2, d2 u2) as one (4, n1, n2) array, from one
+    batched forward and one batched inverse transform."""
+    g = u.grid
+    dhat = _grad_hat(g, _rfft(np.stack((u.comp1, u.comp2))))
+    return _irfft(g, dhat.reshape((4,) + dhat.shape[2:]))
 
 
 def grad(s: ScalarField) -> VectorField:
@@ -180,16 +212,6 @@ def curl2d(v: VectorField) -> ScalarField:
     return ScalarField(v.grid, _deriv(v.grid, v.comp2, 0) - _deriv(v.grid, v.comp1, 1))
 
 
-def div_tensor(t: TensorField) -> VectorField:
-    """Row-wise divergence (d1 T11 + d2 T12, d1 T21 + d2 T22)."""
-    g = t.grid
-    return VectorField(
-        g,
-        _deriv(g, t.t11, 0) + _deriv(g, t.t12, 1),
-        _deriv(g, t.t21, 0) + _deriv(g, t.t22, 1),
-    )
-
-
 def inv_laplacian(s: ScalarField) -> ScalarField:
     """Periodic inverse Laplacian with the zero-mean convention.
 
@@ -197,11 +219,11 @@ def inv_laplacian(s: ScalarField) -> ScalarField:
     mean.
     """
     g = s.grid
-    ksq = g.laplacian_symbol()
+    ksq = _rfft_laplacian_symbol(g).copy()  # the cached symbol is shared
     ksq[0, 0] = 1.0
-    shat = np.fft.fft2(s.values)
+    shat = _rfft(s.values)
     shat[0, 0] = 0.0
-    return ScalarField(g, np.real(np.fft.ifft2(-shat / ksq)))
+    return ScalarField(g, _irfft(g, -shat / ksq))
 
 
 def leray_project(v: VectorField) -> VectorField:

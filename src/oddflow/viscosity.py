@@ -16,7 +16,7 @@ from .fields import (
     ScalarField,
     TensorField,
     VectorField,
-    _deriv,
+    _velocity_gradient,
     divergence,
     l2_inner,
     norms,
@@ -106,27 +106,19 @@ _FAULT_FLAGS: set = set()
 def strain_sym(u: VectorField) -> TensorField:
     """Symmetric rate of strain: the matrix with rows
     (2 d1u1, d2u1 + d1u2) and (d2u1 + d1u2, 2 d2u2)."""
-    g = u.grid
-    d1u1 = _deriv(g, u.comp1, 0)
-    d2u1 = _deriv(g, u.comp1, 1)
-    d1u2 = _deriv(g, u.comp2, 0)
-    d2u2 = _deriv(g, u.comp2, 1)
+    d1u1, d2u1, d1u2, d2u2 = _velocity_gradient(u)
     off = d2u1 + d1u2
-    return TensorField(g, 2.0 * d1u1, off, off, 2.0 * d2u2)
+    return TensorField(u.grid, 2.0 * d1u1, off, off, 2.0 * d2u2)
 
 
 def strain_odd(u: VectorField) -> TensorField:
     """Odd strain: rows (-(d1u2 + d2u1), d1u1 - d2u2) and
     (d1u1 - d2u2, d1u2 + d2u1); symmetric and trace-free."""
-    g = u.grid
-    d1u1 = _deriv(g, u.comp1, 0)
-    d2u1 = _deriv(g, u.comp1, 1)
-    d1u2 = _deriv(g, u.comp2, 0)
-    d2u2 = _deriv(g, u.comp2, 1)
+    d1u1, d2u1, d1u2, d2u2 = _velocity_gradient(u)
     diag = d1u2 + d2u1
     off = d1u1 - d2u2
     sign = -1.0 if "strain-odd-sign" in _FAULT_FLAGS else 1.0
-    return TensorField(g, -diag, sign * off, sign * off, diag)
+    return TensorField(u.grid, -diag, sign * off, sign * off, diag)
 
 
 def viscous_stress(law: ViscosityLaw, rho: ScalarField, u: VectorField) -> TensorField:

@@ -5,18 +5,26 @@ from oddflow.evolve import (  # noqa: the weak-form test field gets an alias
     EnergyLedger,
     EvolveConfig,
     InitialData,
+    ProjectionError,
     TestField as WeakTestField,
     bump,
     odd_limit_sweep,
     residual_weak_momentum,
     run,
+    solve_pressure,
     stable_dt,
 )
 from oddflow.fields import (
     Grid2D,
     ScalarField,
     VectorField,
+    _irfft,
+    _rfft,
+    _rfft_inner,
     curl2d,
+    divergence,
+    grad,
+    inv_laplacian,
     norms,
     random_divfree_field,
     random_scalar_field,
@@ -188,3 +196,70 @@ def test_energy_ledger_defect_indexing():
     led = EnergyLedger([0.0, 1.0], [2.0, 1.5], [0.0, 0.4], [0.0, 0.0])
     assert led.balance_defect(0) == 0.0
     assert led.balance_defect() == pytest.approx(-0.1)
+
+
+def test_half_spectrum_inner_product_is_parseval():
+    g = Grid2D(16, 24)
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 16, 24))
+    scale = np.sqrt(np.sum(a * a) * np.sum(b * b))
+    assert abs(_rfft_inner(g, _rfft(a), _rfft(b)) - np.sum(a * b)) < 1e-13 * scale
+    assert _rfft_inner(g, _rfft(a), _rfft(a)) == pytest.approx(np.sum(a * a), rel=1e-13)
+
+
+def pressure_problem(seed):
+    g = Grid2D(32, 32)
+    rho = perturbed_density(g, seed=seed).values
+    # band-limited below n/3: no Nyquist content
+    src = random_scalar_field(g, seed=seed + 1, cutoff=6).values
+    return g, rho, src
+
+
+def test_spectral_cg_constant_density_matches_inv_laplacian():
+    g, _, src = pressure_problem(20)
+    rho = np.full((g.n1, g.n2), 1.3)
+    p = _irfft(g, solve_pressure(g, rho, _rfft(src), tol=1e-12))
+    # div((1/rho) grad p) = src with rho constant: p = rho * lap^-1 src;
+    # the two Laplacian symbols differ only on the Nyquist modes
+    want = 1.3 * inv_laplacian(ScalarField(g, src)).values
+    assert np.max(np.abs(p - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_spectral_cg_physical_residual_meets_tol():
+    g, rho, src = pressure_problem(22)
+    tol = 1e-10
+    p = ScalarField(g, _irfft(g, solve_pressure(g, rho, _rfft(src), tol=tol)))
+    gp = grad(p)
+    lhs = divergence(VectorField(g, gp.comp1 / rho, gp.comp2 / rho)).values
+    b = src - np.mean(src)
+    assert np.sqrt(np.sum((lhs - b) ** 2)) <= tol * np.sqrt(np.sum(b * b))
+
+
+def test_spectral_cg_iteration_cap_raises():
+    g, rho, src = pressure_problem(24)
+    with pytest.raises(ProjectionError):
+        solve_pressure(g, rho, _rfft(src), max_iter=1)
+
+
+def test_spectral_cg_exact_warm_start_does_not_iterate():
+    g, rho, src = pressure_problem(26)
+    shat = _rfft(src)
+    phat = solve_pressure(g, rho, shat, tol=1e-12)
+    # max_iter=0 allows no iteration: only the warm-start check can return
+    again = solve_pressure(g, rho, shat, tol=1e-10, max_iter=0, p0=phat)
+    assert np.array_equal(again, phat)
+
+
+def test_runs_are_byte_stable():
+    g = Grid2D(32, 32)
+    data = InitialData(perturbed_density(g, seed=28),
+                       random_divfree_field(g, seed=29, cutoff=4))
+    cfg = make_config(g, 2e-3, 0.01, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+    (sa, la), (sb, lb) = run(cfg, data), run(cfg, data)
+    a, b = sa[-1], sb[-1]
+    assert a.t == b.t
+    for x, y in ((a.u.comp1, b.u.comp1), (a.u.comp2, b.u.comp2),
+                 (a.rho.values, b.rho.values), (a.pressure.values, b.pressure.values)):
+        assert np.array_equal(x, y)
+    for name in ("times", "kinetic", "dissipation", "work"):
+        assert np.array_equal(getattr(la, name), getattr(lb, name))
