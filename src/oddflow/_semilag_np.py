@@ -1,47 +1,50 @@
-"""Pure-numpy twin of the compiled bicubic kernel (see _semilag_cy.pyx)."""
+"""Pure-numpy twin of the compiled bicubic kernel (see _semilag_cy.pyx): its
+arithmetic in its order, on planes wrap-padded by one node before and two after
+on both axes, so a point's 4x4 stencil is 16 fixed offsets from one flat index."""
 
 import numpy as np
 
 
 def _weights(t):
-    return (
-        -t * (t - 1.0) * (t - 2.0) / 6.0,
-        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-        -(t + 1.0) * t * (t - 2.0) / 2.0,
-        (t + 1.0) * t * (t - 1.0) / 6.0,
-    )
+    tp1, tm1, tm2 = t + 1.0, t - 1.0, t - 2.0
+    return (-t * tm1 * tm2 / 6.0, tp1 * tm1 * tm2 / 2.0,
+            -tp1 * t * tm2 / 2.0, tp1 * t * tm1 / 6.0)
 
 
 def bicubic_periodic(values, x1, x2, h1, h2, clamp=True):
     """Clamped cubic Lagrange interpolation on a periodic grid.
 
-    Same contract as the compiled kernel: sample `values` at points
-    (x1, x2); with clamp=True the result is limited to the min/max of the
-    surrounding 2x2 nodes.
+    Same contract as the compiled kernel: sample `values` at points (x1, x2);
+    with clamp=True the result is limited to the min/max of the surrounding
+    2x2 nodes.  A (k, n1, n2) stack is sampled in one pass into (k, m).
     """
-    n1, n2 = values.shape
-    s1 = x1 / h1
-    s2 = x2 / h2
-    i1 = np.floor(s1).astype(np.int64)
-    i2 = np.floor(s2).astype(np.int64)
-    t1 = s1 - i1
-    t2 = s2 - i2
-    w1 = _weights(t1)
-    w2 = _weights(t2)
-    acc = np.zeros_like(s1)
-    lo = np.full_like(s1, np.inf)
-    hi = np.full_like(s1, -np.inf)
-    for a in range(4):
-        ia = np.mod(i1 + a - 1, n1)
-        row = np.zeros_like(s1)
-        for b in range(4):
-            ib = np.mod(i2 + b - 1, n2)
-            v = values[ia, ib]
-            row += w2[b] * v
-            if 1 <= a <= 2 and 1 <= b <= 2:
-                lo = np.minimum(lo, v)
-                hi = np.maximum(hi, v)
-        acc += w1[a] * row
-    if clamp:
-        acc = np.clip(acc, lo, hi)
-    return acc
+    planes = np.pad(np.reshape(values, (-1,) + np.shape(values)[-2:]),
+                    ((0, 0), (1, 2), (1, 2)), mode="wrap")
+    k, m1, m2 = planes.shape
+    flat = planes.reshape(k, m1 * m2)
+    out = np.zeros((k, x1.size))
+    for c in range(0, x1.size, 8192):  # blocks of points keep the work arrays in cache
+        blk = slice(c, c + 8192)
+        s1, s2 = x1[blk] / h1, x2[blk] / h2
+        f1, f2 = np.floor(s1), np.floor(s2)
+        w1, w2 = _weights(s1 - f1), _weights(s2 - f2)
+        base = np.mod(f1.astype(np.int64), m1 - 3) * m2 + np.mod(f2.astype(np.int64), m2 - 3)
+        idx, v = np.empty_like(base), np.empty((k, base.size))
+        row, acc = np.empty_like(v), out[:, blk]
+        if clamp:
+            lo, hi = np.full_like(v, np.inf), np.full_like(v, -np.inf)
+        for a in range(4):
+            row.fill(0.0)
+            for b in range(4):
+                np.add(base, a * m2 + b, out=idx)
+                np.take(flat, idx, axis=1, out=v, mode="clip")  # unbuffered; idx is in range
+                if clamp and 1 <= a <= 2 and 1 <= b <= 2:
+                    np.minimum(lo, v, out=lo)
+                    np.maximum(hi, v, out=hi)
+                v *= w2[b]
+                row += v
+            row *= w1[a]
+            acc += row
+        if clamp:
+            np.clip(acc, lo, hi, out=acc)
+    return out if np.ndim(values) == 3 else out[0]

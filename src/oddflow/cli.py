@@ -544,9 +544,13 @@ def _check_kernel_parity(seed):
     vals = rng.standard_normal((32, 32))
     x1 = rng.uniform(-5.0, 15.0, 500)
     x2 = rng.uniform(-5.0, 15.0, 500)
-    a = semilag.interp_bicubic(grid, vals, x1, x2, compiled=True)
-    b = semilag.interp_bicubic(grid, vals, x1, x2, compiled=False)
-    return float(np.max(np.abs(a - b))), 1e-13
+    stack = rng.standard_normal((2, 32, 32))
+    err = 0.0
+    for v, clamp in ((vals, True), (stack, False)):
+        a = semilag.interp_bicubic(grid, v, x1, x2, clamp, compiled=True)
+        b = semilag.interp_bicubic(grid, v, x1, x2, clamp, compiled=False)
+        err = max(err, float(np.max(np.abs(a - b))))
+    return err, 1e-13
 
 
 _CHECKS = [

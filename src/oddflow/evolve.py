@@ -18,6 +18,7 @@ import numpy as np
 
 from .fields import (
     Grid2D,
+    NonFiniteError,
     ScalarField,
     VectorField,
     _div_hat,
@@ -154,6 +155,10 @@ class ProjectionError(RuntimeError):
     pass
 
 
+class BlowUpError(RuntimeError):
+    """The state of a run turned non-finite; the message names the step."""
+
+
 def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     """Solve div((1/rho) grad p) = source by preconditioned CG on rfft2
     coefficients: `source`, the warm start `p0` and the returned mean-zero
@@ -186,6 +191,8 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     b = -source
     b[null] = 0.0
     bnorm = norm(b)
+    if not np.isfinite(bnorm):
+        raise NonFiniteError("pressure source contains non-finite values")
     if bnorm == 0.0:
         return np.zeros_like(b)
     if p0 is None:
@@ -318,45 +325,51 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     """Integrate to t_end.  Returns (states, ledger).
 
     store_every=k keeps every k-th state (k=0: first and last only); the
-    ledger is appended at every step regardless.
+    ledger is appended at every step regardless.  A state that turns
+    non-finite (an overflow) raises BlowUpError naming the step and the
+    time of the last finite state; step 0 is the set-up before the loop.
     """
-    data.validate(config.bounds)
-    grid = config.grid
-    force = data.force
-    f0 = force(0.0) if force else None
-    state = SimulationState(
-        0.0, data.rho0, data.u0,
-        ScalarField(grid, _irfft(grid, recover_pressure(
-            grid, config.law, data.rho0.values, data.u0, f0, config.cutoff,
-            config.cg_tol, config.cg_max_iter))),
-    )
-    ledger = EnergyLedger()
-    ledger.times.append(0.0)
-    ledger.kinetic.append(_kinetic(grid, state.rho.values, state.u))
-    ledger.dissipation.append(0.0)
-    ledger.work.append(0.0)
-    states = [state]
-    d_prev = _dissipation_rate(grid, config.law, state.rho.values, state.u)
-    w_prev = _work_rate(grid, state.rho.values, state.u, f0)
-    warm = {}
-    k = 0
-    while state.t < config.t_end - 1e-14:
-        dt = min(stable_dt(config, state.u), config.t_end - state.t)
-        k += 1
-        is_output = (store_every and k % store_every == 0) or (
-            state.t + dt >= config.t_end - 1e-14
+    k, state = 0, None
+    try:
+        data.validate(config.bounds)
+        grid = config.grid
+        force = data.force
+        f0 = force(0.0) if force else None
+        state = SimulationState(
+            0.0, data.rho0, data.u0,
+            ScalarField(grid, _irfft(grid, recover_pressure(
+                grid, config.law, data.rho0.values, data.u0, f0, config.cutoff,
+                config.cg_tol, config.cg_max_iter))),
         )
-        state = step(state, config, force, dt=dt, with_pressure=is_output, warm=warm)
-        f_t = force(state.t) if force else None
-        d_now = _dissipation_rate(grid, config.law, state.rho.values, state.u)
-        w_now = _work_rate(grid, state.rho.values, state.u, f_t)
-        ledger.times.append(state.t)
+        ledger = EnergyLedger()
+        ledger.times.append(0.0)
         ledger.kinetic.append(_kinetic(grid, state.rho.values, state.u))
-        ledger.dissipation.append(ledger.dissipation[-1] + 0.5 * dt * (d_prev + d_now))
-        ledger.work.append(ledger.work[-1] + 0.5 * dt * (w_prev + w_now))
-        d_prev, w_prev = d_now, w_now
-        if is_output:
-            states.append(state)
+        ledger.dissipation.append(0.0)
+        ledger.work.append(0.0)
+        states = [state]
+        d_prev = _dissipation_rate(grid, config.law, state.rho.values, state.u)
+        w_prev = _work_rate(grid, state.rho.values, state.u, f0)
+        warm = {}
+        while state.t < config.t_end - 1e-14:
+            dt = min(stable_dt(config, state.u), config.t_end - state.t)
+            k += 1
+            is_output = (store_every and k % store_every == 0) or (
+                state.t + dt >= config.t_end - 1e-14
+            )
+            state = step(state, config, force, dt=dt, with_pressure=is_output, warm=warm)
+            f_t = force(state.t) if force else None
+            d_now = _dissipation_rate(grid, config.law, state.rho.values, state.u)
+            w_now = _work_rate(grid, state.rho.values, state.u, f_t)
+            ledger.times.append(state.t)
+            ledger.kinetic.append(_kinetic(grid, state.rho.values, state.u))
+            ledger.dissipation.append(ledger.dissipation[-1] + 0.5 * dt * (d_prev + d_now))
+            ledger.work.append(ledger.work[-1] + 0.5 * dt * (w_prev + w_now))
+            d_prev, w_prev = d_now, w_now
+            if is_output:
+                states.append(state)
+    except NonFiniteError as e:
+        t = 0.0 if state is None else state.t
+        raise BlowUpError(f"state turned non-finite in step {k} (t = {t:.6g}): {e}") from e
     return states, ledger
 
 

@@ -16,9 +16,13 @@ import numpy as np
 import scipy.fft
 
 
+class NonFiniteError(ValueError):
+    """A field holds NaN or inf."""
+
+
 def _check_finite(name, a):
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteError(f"{name} contains non-finite values")
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,15 @@ def test_evolve_rejects_bad_config(tmp_path):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_evolve_overflow_is_a_solver_failure(tmp_path, capsys):
+    # the velocity is finite, but its transforms overflow: exit 3, not 2
+    cfg = _write(tmp_path / "o.cfg", "n = 16\ndt = 1e-2\nt_end = 0.05\namplitude = 1e306\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "step 0 (t = 0)" in err
+
 def test_stationary_command_with_boundary_file(tmp_path):
     bdry = _write(tmp_path / "b.cfg",
                   "bottom_t = 1.0\nright_t = 1.0\ntop_t = 1.0\nleft_t = 1.0\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oddflow.evolve import (  # noqa: the weak-form test field gets an alias
+    BlowUpError,
     EnergyLedger,
     EvolveConfig,
     InitialData,
@@ -263,3 +264,19 @@ def test_runs_are_byte_stable():
         assert np.array_equal(x, y)
     for name in ("times", "kinetic", "dissipation", "work"):
         assert np.array_equal(getattr(la, name), getattr(lb, name))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_overflowing_force_raises_blow_up_naming_the_step():
+    # a finite forcing of 1e300 overflows the advective products of the
+    # stage it enters; that is a solver failure, not invalid input
+    g = Grid2D(16, 16)
+    _, x2 = g.coords()
+
+    def force(t):
+        return VectorField(g, 1e300 * np.sin(x2), np.zeros((16, 16))) if t > 0 else None
+
+    cfg = make_config(g, 0.01, 0.05)
+    with pytest.raises(BlowUpError, match=r"step [1-9]\d* \(t = [0-9.e-]+\)") as err:
+        run(cfg, InitialData(unit_density(g), taylor_green(g), force))
+    assert isinstance(err.value, RuntimeError) and not isinstance(err.value, ValueError)

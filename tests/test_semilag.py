@@ -84,6 +84,98 @@ def test_kernel_parity_compiled_vs_numpy(built_package):
         assert np.max(np.abs(a - b)) < 5e-14
 
 
+
+@needs_cc
+def test_verify_kernel_parity_passes_with_built_kernel(built_package, tmp_path):
+    # `verify` compares a plane and a (2, n1, n2) stack through both kernels
+    env = dict(os.environ, PYTHONPATH=str(built_package))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddflow.cli", "verify", "--filter", "parity"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "semilag-kernel-parity" in proc.stdout and "PASS" in proc.stdout
+
+
+def _loop_bicubic(values, x1, x2, h1, h2, clamp=True):
+    """The per-node gather loop the numpy kernel replaced, kept as the oracle."""
+    def weights(t):
+        return (
+            -t * (t - 1.0) * (t - 2.0) / 6.0,
+            (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+            -(t + 1.0) * t * (t - 2.0) / 2.0,
+            (t + 1.0) * t * (t - 1.0) / 6.0,
+        )
+
+    n1, n2 = values.shape
+    s1 = x1 / h1
+    s2 = x2 / h2
+    i1 = np.floor(s1).astype(np.int64)
+    i2 = np.floor(s2).astype(np.int64)
+    w1 = weights(s1 - i1)
+    w2 = weights(s2 - i2)
+    acc = np.zeros_like(s1)
+    lo = np.full_like(s1, np.inf)
+    hi = np.full_like(s1, -np.inf)
+    for a in range(4):
+        ia = np.mod(i1 + a - 1, n1)
+        row = np.zeros_like(s1)
+        for b in range(4):
+            ib = np.mod(i2 + b - 1, n2)
+            v = values[ia, ib]
+            row += w2[b] * v
+            if 1 <= a <= 2 and 1 <= b <= 2:
+                lo = np.minimum(lo, v)
+                hi = np.maximum(hi, v)
+        acc += w1[a] * row
+    if clamp:
+        acc = np.clip(acc, lo, hi)
+    return acc
+
+
+def test_numpy_kernel_is_bit_identical_to_the_loop():
+    g = Grid2D(32, 48, 5.0, 7.0)
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((2, 32, 48))
+    # several periods out on both sides, more points than one block
+    x1 = rng.uniform(-3.0 * g.len1, 3.0 * g.len1, 20000)
+    x2 = rng.uniform(-3.0 * g.len2, 3.0 * g.len2, 20000)
+    for clamp in (True, False):
+        both = _semilag_np.bicubic_periodic(stack, x1, x2, g.h1, g.h2, clamp)
+        assert both.shape == (2, 20000)
+        for k in range(2):
+            want = _loop_bicubic(stack[k], x1, x2, g.h1, g.h2, clamp)
+            one = _semilag_np.bicubic_periodic(stack[k], x1, x2, g.h1, g.h2, clamp)
+            assert np.array_equal(one, want)
+            assert np.array_equal(both[k], want)
+
+
+def test_interp_stack_keeps_point_shape():
+    g = Grid2D(16, 24, 3.0, 5.0)
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((2, 16, 24))
+    x1, x2 = g.coords()
+    x1, x2 = x1 + 0.3 * g.h1, x2 - 0.6 * g.h2
+    both = interp_bicubic(g, stack, x1, x2, clamp=False, compiled=False)
+    assert both.shape == (2, 16, 24)
+    for k in range(2):
+        assert np.array_equal(
+            both[k], interp_bicubic(g, stack[k], x1, x2, clamp=False, compiled=False))
+
+
+def test_departure_points_stacked_equal_two_plane_calls():
+    g = Grid2D(32, 48, 5.0, 7.0)
+    u = perp_grad(random_scalar_field(g, seed=13, cutoff=5))
+    dt = 0.07
+    x1, x2 = g.coords()
+    xm1 = x1 - 0.5 * dt * u.comp1
+    xm2 = x2 - 0.5 * dt * u.comp2
+    um1 = interp_bicubic(g, u.comp1, xm1, xm2, clamp=False)
+    um2 = interp_bicubic(g, u.comp2, xm1, xm2, clamp=False)
+    d1, d2 = departure_points(g, u, dt)
+    assert np.array_equal(d1, x1 - dt * um1)
+    assert np.array_equal(d2, x2 - dt * um2)
+
 def test_interpolation_exact_at_nodes():
     g = Grid2D(16, 16)
     rng = np.random.default_rng(1)
