@@ -17,17 +17,12 @@ import sys
 import numpy as np
 
 from . import io as fio
-from . import semilag
-from .evolve import (
-    EvolveConfig,
-    InitialData,
-    ProjectionError,
-    odd_limit_sweep,
-    run,
-)
+from . import semilag, viscosity
+from .evolve import EvolveConfig, InitialData, odd_limit_sweep, run
 from .fields import (
     Grid2D,
     ScalarField,
+    TensorField,
     VectorField,
     random_divfree_field,
     random_scalar_field,
@@ -55,11 +50,11 @@ from .symmetric import (
 )
 from .viscosity import (
     DensityBounds,
-    _FAULT_FLAGS,
     check_pointwise_cancellation,
     check_weak_cancellation,
     make_law,
     parse_law_spec,
+    strain_odd,
 )
 
 
@@ -420,7 +415,6 @@ _SWEEP_SCHEMA = {
     "amplitude": (float, 1.0),
     "density_cutoff": (int, 3),
     "velocity_cutoff": (int, 4),
-    "store_every": (int, 0),
 }
 
 
@@ -566,19 +560,32 @@ _CHECKS = [
 ]
 
 
+def _strain_odd_sign_flipped(u):
+    o = strain_odd(u)
+    return TensorField(u.grid, o.t11, -o.t12, -o.t21, o.t22)
+
+
+# --inject-fault name -> (attribute of the viscosity module, replacement):
+# verify runs its checks with the replacement installed, and a check the
+# fault breaks must FAIL
+_FAULTS = {"strain-odd-sign": ("strain_odd", _strain_odd_sign_flipped)}
+
+
 def cmd_verify(args):
-    if args.inject_fault:
-        _FAULT_FLAGS.add(args.inject_fault)
+    selected = [
+        (name, fn) for name, fn in _CHECKS
+        if not args.filter or args.filter in name
+    ]
+    if not selected:
+        print(f"verify: no checks match filter {args.filter!r}", file=sys.stderr)
+        return 2
+    failures = 0
+    width = max(len(name) for name, _ in selected)
+    fault = _FAULTS.get(args.inject_fault)
+    if fault:
+        original = getattr(viscosity, fault[0])
+        setattr(viscosity, *fault)
     try:
-        selected = [
-            (name, fn) for name, fn in _CHECKS
-            if not args.filter or args.filter in name
-        ]
-        if not selected:
-            print(f"verify: no checks match filter {args.filter!r}", file=sys.stderr)
-            return 2
-        failures = 0
-        width = max(len(name) for name, _ in selected)
         for name, fn in selected:
             try:
                 value, tol = fn(args.seed)
@@ -591,9 +598,10 @@ def cmd_verify(args):
             failures += 0 if ok else 1
             print(f"{name:<{width}}  {value:.3e}  (tol {tol:.0e})  "
                   f"{'PASS' if ok else 'FAIL'}")
-        return 0 if failures == 0 else 1
     finally:
-        _FAULT_FLAGS.discard(args.inject_fault)
+        if fault:
+            setattr(viscosity, fault[0], original)
+    return 0 if failures == 0 else 1
 
 
 # ------------------------------------------------------------------ main
@@ -605,22 +613,25 @@ def _build_parser():
                     "flow with density-dependent shear and odd viscosity.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, runner in (
-        ("evolve", cmd_evolve),
-        ("stationary", cmd_stationary),
-        ("symmetric", cmd_symmetric),
-        ("sweep-odd-limit", cmd_sweep),
-        ("verify", cmd_verify),
+    flags = {
+        "--config": dict(help="key = value config file"),
+        "--out": dict(help="artifact output directory"),
+        "--seed": dict(type=int, default=0),
+        "--demo": dict(choices=["nonexistence"]),
+        "--filter": dict(default="", help="run only checks whose name contains this"),
+        "--inject-fault": dict(choices=sorted(_FAULTS), help="run with this fault installed"),
+    }
+    run_flags = ("--config", "--out", "--seed")
+    for name, runner, names in (
+        ("evolve", cmd_evolve, run_flags),
+        ("stationary", cmd_stationary, run_flags),
+        ("symmetric", cmd_symmetric, ("--config", "--out", "--demo")),
+        ("sweep-odd-limit", cmd_sweep, run_flags),
+        ("verify", cmd_verify, ("--seed", "--filter", "--inject-fault")),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--out", default=None, help="artifact output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--filter", default="",
-                       help="run only checks whose name contains this substring")
-        p.add_argument("--demo", choices=["nonexistence"], default=None)
-        p.add_argument("--inject-fault", default="", dest="inject_fault",
-                       help="test hook: inject a named fault before verifying")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(runner=runner)
     return parser
 
@@ -635,9 +646,6 @@ def main(argv=None):
     except ValueError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
-    except ProjectionError as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return 3
     except RuntimeError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3

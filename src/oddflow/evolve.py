@@ -11,7 +11,7 @@ the same density field the projection uses, so it is removed completely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,15 +46,10 @@ class EvolveConfig:
     law: ViscosityLaw
     bounds: DensityBounds
     mode_cutoff: int = 0  # 0: use the 2/3 dealiasing cutoff
-    cfl_limit: float = 0.5
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 500
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if not 0 < self.cfl_limit <= 1:
-            raise ValueError("cfl_limit must lie in (0, 1]")
         limit = min(self.grid.n1, self.grid.n2) // 3
         if self.mode_cutoff > limit:
             raise ValueError(f"mode_cutoff must be <= {limit} for dealiasing")
@@ -73,7 +68,11 @@ class InitialData:
     def validate(self, bounds: DensityBounds):
         if not bounds.contains(self.rho0.values):
             raise ValueError("initial density leaves the admissible bounds")
-        if norms(divergence(self.u0))["linf"] > 1e-10:
+        # relative to the velocity gradient: the spectral divergence of a
+        # divergence-free field rounds in proportion to its amplitude
+        grad_u = _velocity_gradient(self.u0)  # d1u1, d2u1, d1u2, d2u2
+        scale = max(1.0, np.max(np.abs(grad_u)))
+        if np.max(np.abs(grad_u[0] + grad_u[3])) > 1e-10 * scale:
             raise ValueError("initial velocity is not divergence-free")
 
 
@@ -92,12 +91,17 @@ class EnergyLedger:
     kinetic[k] = int rho |u|^2 dx at times[k]; dissipation/work are the
     cumulative trapezoid integrals of int mu_e |sym strain|^2 and
     2 int rho f.u.  The odd viscosity never enters the ledger.
+    rho_min[k], rho_max[k] and mass[k] = int rho dx record the density
+    at times[k], for the bound and mass checks.
     """
 
     times: list = field(default_factory=list)
     kinetic: list = field(default_factory=list)
     dissipation: list = field(default_factory=list)
     work: list = field(default_factory=list)
+    rho_min: list = field(default_factory=list)
+    rho_max: list = field(default_factory=list)
+    mass: list = field(default_factory=list)
 
     def balance_defect(self, k=-1):
         return (
@@ -223,19 +227,22 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     )
 
 
-def _project_tendency(grid, rho, g, tol, max_iter, p0=None):
+def _project_tendency(grid, rho, g, p0=None):
     """Remove the (1/rho) grad q part of a (2, n1, n2) tendency so it is
     divergence-free.  Returns the projected stack and q's coefficients."""
-    qhat = solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), tol, max_iter, p0=p0)
+    qhat = solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)
     return g - _irfft(grid, _grad_hat(grid, qhat)) / rho, qhat
 
 
 def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u: VectorField, f,
-                     cutoff, tol=1e-10, max_iter=500, p0=None) -> np.ndarray:
+                     cutoff, p0=None) -> np.ndarray:
     """rfft2 coefficients of the mean-zero pressure consistent with the
     instantaneous state."""
     g = _advective_rhs(grid, law, rho, u, f, cutoff)
-    return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), tol, max_iter, p0=p0)
+    return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)
+
+
+_CFL = 0.5  # advective Courant number of the adaptive step
 
 
 def stable_dt(config: EvolveConfig, u: VectorField) -> float:
@@ -244,24 +251,21 @@ def stable_dt(config: EvolveConfig, u: VectorField) -> float:
     dt = min(config.dt, h * h / (8.0 * config.law.mu_upper))
     umax = max(np.max(np.abs(u.comp1)), np.max(np.abs(u.comp2)))
     if umax > 0:
-        dt = min(dt, config.cfl_limit * h / umax)
+        dt = min(dt, _CFL * h / umax)
     return dt
 
 
-def step(state: SimulationState, config: EvolveConfig,
-         force: Optional[ForceFn] = None, dt: Optional[float] = None,
-         with_pressure: bool = True, warm: Optional[dict] = None) -> SimulationState:
+def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
+         dt: float, with_pressure: bool, warm: dict) -> SimulationState:
     """One time step: density transport, projected RK2 on the velocity,
     Galerkin mode truncation, diagnostic pressure recovery.
 
-    `warm` is an optional mutable dict reused across steps to warm-start
-    the three CG solves by linear extrapolation of the previous solutions,
-    all held as rfft2 coefficients.
+    `warm` is a mutable dict reused across steps to warm-start the three
+    CG solves by linear extrapolation of the previous solutions, all held
+    as rfft2 coefficients.
     """
     grid = config.grid
     cutoff = config.cutoff
-    if warm is None:
-        warm = {}
 
     def guess(key):
         cur, old = warm.get(key), warm.get(key + "_old")
@@ -269,8 +273,6 @@ def step(state: SimulationState, config: EvolveConfig,
             return None
         return cur if old is None else 2.0 * cur - old
 
-    if dt is None:
-        dt = stable_dt(config, state.u)
     f_now = force(state.t) if force else None
     f_next = force(state.t + dt) if force else None
 
@@ -280,21 +282,16 @@ def step(state: SimulationState, config: EvolveConfig,
     u0 = np.stack((state.u.comp1, state.u.comp2))
 
     g = _advective_rhs(grid, config.law, rho0, state.u, f_now, cutoff)
-    k1, q1 = _project_tendency(
-        grid, rho0, g, config.cg_tol, config.cg_max_iter, p0=guess("q1")
-    )
+    k1, q1 = _project_tendency(grid, rho0, g, p0=guess("q1"))
     u_mid = VectorField(grid, *_truncate(grid, u0 + dt * k1, cutoff))
     g = _advective_rhs(grid, config.law, rho1, u_mid, f_next, cutoff)
-    k2, q2 = _project_tendency(
-        grid, rho1, g, config.cg_tol, config.cg_max_iter, p0=guess("q2")
-    )
+    k2, q2 = _project_tendency(grid, rho1, g, p0=guess("q2"))
     u_new = VectorField(grid, *_truncate(grid, u0 + 0.5 * dt * (k1 + k2), cutoff))
     warm["q1_old"], warm["q2_old"] = warm.get("q1"), warm.get("q2")
     warm["q1"], warm["q2"] = q1, q2
     if with_pressure:
         phat = recover_pressure(
-            grid, config.law, rho1, u_new, f_next, cutoff,
-            config.cg_tol, config.cg_max_iter, p0=guess("pr"),
+            grid, config.law, rho1, u_new, f_next, cutoff, p0=guess("pr")
         )
         warm["pr_old"] = warm.get("pr")
         warm["pr"] = phat
@@ -325,9 +322,10 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     """Integrate to t_end.  Returns (states, ledger).
 
     store_every=k keeps every k-th state (k=0: first and last only); the
-    ledger is appended at every step regardless.  A state that turns
-    non-finite (an overflow) raises BlowUpError naming the step and the
-    time of the last finite state; step 0 is the set-up before the loop.
+    ledger is appended at the initial state and after every step
+    regardless.  A state that turns non-finite (an overflow) raises
+    BlowUpError naming the step and the time of the last finite state;
+    step 0 is the set-up before the loop.
     """
     k, state = 0, None
     try:
@@ -338,14 +336,21 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
         state = SimulationState(
             0.0, data.rho0, data.u0,
             ScalarField(grid, _irfft(grid, recover_pressure(
-                grid, config.law, data.rho0.values, data.u0, f0, config.cutoff,
-                config.cg_tol, config.cg_max_iter))),
+                grid, config.law, data.rho0.values, data.u0, f0, config.cutoff))),
         )
         ledger = EnergyLedger()
-        ledger.times.append(0.0)
-        ledger.kinetic.append(_kinetic(grid, state.rho.values, state.u))
-        ledger.dissipation.append(0.0)
-        ledger.work.append(0.0)
+
+        def record(st, dissipation, work):
+            rho = st.rho.values
+            ledger.times.append(st.t)
+            ledger.kinetic.append(_kinetic(grid, rho, st.u))
+            ledger.dissipation.append(dissipation)
+            ledger.work.append(work)
+            ledger.rho_min.append(float(rho.min()))
+            ledger.rho_max.append(float(rho.max()))
+            ledger.mass.append(float(np.sum(rho) * grid.cell_area))
+
+        record(state, 0.0, 0.0)
         states = [state]
         d_prev = _dissipation_rate(grid, config.law, state.rho.values, state.u)
         w_prev = _work_rate(grid, state.rho.values, state.u, f0)
@@ -360,10 +365,8 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
             f_t = force(state.t) if force else None
             d_now = _dissipation_rate(grid, config.law, state.rho.values, state.u)
             w_now = _work_rate(grid, state.rho.values, state.u, f_t)
-            ledger.times.append(state.t)
-            ledger.kinetic.append(_kinetic(grid, state.rho.values, state.u))
-            ledger.dissipation.append(ledger.dissipation[-1] + 0.5 * dt * (d_prev + d_now))
-            ledger.work.append(ledger.work[-1] + 0.5 * dt * (w_prev + w_now))
+            record(state, ledger.dissipation[-1] + 0.5 * dt * (d_prev + d_now),
+                   ledger.work[-1] + 0.5 * dt * (w_prev + w_now))
             d_prev, w_prev = d_now, w_now
             if is_output:
                 states.append(state)
@@ -464,11 +467,7 @@ def odd_limit_sweep(config: EvolveConfig, data: InitialData, eps_list, c0: float
         )
 
     def final_u(law):
-        cfg = EvolveConfig(
-            config.grid, config.dt, config.t_end, law, config.bounds,
-            config.mode_cutoff, config.cfl_limit, config.cg_tol, config.cg_max_iter,
-        )
-        states, _ = run(cfg, data)
+        states, _ = run(replace(config, law=law), data)
         return states[-1].u
 
     u_ref = final_u(law_for(0.0))

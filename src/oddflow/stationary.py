@@ -510,14 +510,7 @@ def recover_velocity(sol: StationarySolution):
 def _mid_b_t(domain, a_ext):
     """B and T of an extended-grid function, evaluated on the mid grid."""
     h = domain.h
-    b = (
-        (a_ext[1:-1, 2:] - 2.0 * a_ext[1:-1, 1:-1] + a_ext[1:-1, :-2])
-        - (a_ext[2:, 1:-1] - 2.0 * a_ext[1:-1, 1:-1] + a_ext[:-2, 1:-1])
-    ) / h**2
-    t = (
-        a_ext[2:, 2:] - a_ext[2:, :-2] - a_ext[:-2, 2:] + a_ext[:-2, :-2]
-    ) / (2.0 * h**2)
-    return b, t
+    return _int_d22(a_ext, h) - _int_d11(a_ext, h), 2.0 * _int_d12(a_ext, h)
 
 
 def _clamped_extend(domain, psi_mid):
@@ -561,13 +554,8 @@ def residual_weak_stationary(sol: StationarySolution,
             raise ValueError("test function must vanish on the boundary ring")
         psi_ext = _clamped_extend(dom, psi)
         bpsi, tpsi = _mid_b_t(dom, psi_ext)
-        d1psi = (psi_ext[2:, 1:-1] - psi_ext[:-2, 1:-1]) / (2.0 * h)
-        d2psi = (psi_ext[1:-1, 2:] - psi_ext[1:-1, :-2]) / (2.0 * h)
-        d11 = (psi_ext[2:, 1:-1] - 2 * psi_ext[1:-1, 1:-1] + psi_ext[:-2, 1:-1]) / h**2
-        d22 = (psi_ext[1:-1, 2:] - 2 * psi_ext[1:-1, 1:-1] + psi_ext[1:-1, :-2]) / h**2
-        d12 = (
-            psi_ext[2:, 2:] - psi_ext[2:, :-2] - psi_ext[:-2, 2:] + psi_ext[:-2, :-2]
-        ) / (4.0 * h**2)
+        d1psi, d2psi = _mid_derivs(dom, psi_ext)
+        d11, d22, d12 = _int_d11(psi_ext, h), _int_d22(psi_ext, h), _int_d12(psi_ext, h)
         lhs = np.sum(me * (bphi * bpsi + tphi * tpsi)) * h * h
         lhs += np.sum(mo * (tphi * bpsi - bphi * tpsi)) * h * h
         # grad(perp-grad psi) entries: rows are the gradient index

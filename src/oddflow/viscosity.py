@@ -99,10 +99,6 @@ def make_law(nu_e_spec: str, nu_o_spec: str, mu_star, mu_upper, bounds) -> Visco
     )
 
 
-# Test hook: cli verify --inject-fault strain-odd-sign flips one entry sign.
-_FAULT_FLAGS: set = set()
-
-
 def strain_sym(u: VectorField) -> TensorField:
     """Symmetric rate of strain: the matrix with rows
     (2 d1u1, d2u1 + d1u2) and (d2u1 + d1u2, 2 d2u2)."""
@@ -117,8 +113,7 @@ def strain_odd(u: VectorField) -> TensorField:
     d1u1, d2u1, d1u2, d2u2 = _velocity_gradient(u)
     diag = d1u2 + d2u1
     off = d1u1 - d2u2
-    sign = -1.0 if "strain-odd-sign" in _FAULT_FLAGS else 1.0
-    return TensorField(u.grid, -diag, sign * off, sign * off, diag)
+    return TensorField(u.grid, -diag, off, off, diag)
 
 
 def viscous_stress(law: ViscosityLaw, rho: ScalarField, u: VectorField) -> TensorField:

@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 
 import _mms
-from oddflow.evolve import (
-    EvolveConfig,
-    InitialData,
-    SimulationState,
-    _dissipation_rate,
-    _kinetic,
-    odd_limit_sweep,
-    stable_dt,
-    step,
-)
+from oddflow.evolve import EvolveConfig, InitialData, odd_limit_sweep, run
 from oddflow.fields import (
     Grid2D,
     ScalarField,
@@ -67,44 +58,9 @@ def standard_data(grid):
                        random_divfree_field(grid, seed=2, cutoff=4))
 
 
-# Density statistics of every evolutionary acceptance run, recorded step
-# by step; criterion 12 consumes this registry.
-_DENSITY_RECORDS = {}
-
-
-def tracked_run(name, config, data):
-    """Time loop mirroring the production driver, recording per-step
-    density extremes and mass for the bound-preservation criterion.
-
-    Returns (final_state, times, kinetic, dissipation_integral)."""
-    grid = config.grid
-    state = SimulationState(0.0, data.rho0, data.u0,
-                            ScalarField(grid, np.zeros((grid.n1, grid.n2))))
-    rec = {
-        "lo": float(data.rho0.values.min()),
-        "hi": float(data.rho0.values.max()),
-        "mins": [], "maxs": [], "masses": [],
-        "mass0": float(np.sum(data.rho0.values) * grid.cell_area),
-    }
-    times = [0.0]
-    kinetic = [_kinetic(grid, state.rho.values, state.u)]
-    dissipation = [0.0]
-    d_prev = _dissipation_rate(grid, config.law, state.rho.values, state.u)
-    warm = {}
-    while state.t < config.t_end - 1e-14:
-        dt = min(stable_dt(config, state.u), config.t_end - state.t)
-        last = state.t + dt >= config.t_end - 1e-14
-        state = step(state, config, dt=dt, with_pressure=last, warm=warm)
-        rec["mins"].append(float(state.rho.values.min()))
-        rec["maxs"].append(float(state.rho.values.max()))
-        rec["masses"].append(float(np.sum(state.rho.values) * grid.cell_area))
-        d_now = _dissipation_rate(grid, config.law, state.rho.values, state.u)
-        times.append(state.t)
-        kinetic.append(_kinetic(grid, state.rho.values, state.u))
-        dissipation.append(dissipation[-1] + 0.5 * dt * (d_prev + d_now))
-        d_prev = d_now
-    _DENSITY_RECORDS[name] = rec
-    return state, np.array(times), np.array(kinetic), np.array(dissipation)
+# Energy ledgers of every evolutionary acceptance run; criterion 12 reads
+# their per-step density records.
+_LEDGERS = {}
 
 
 # --------------------------------------------------------------- criteria
@@ -172,7 +128,9 @@ def test_criterion_04_energy_inequality():
     slack_ok = True
     for dt in (6e-4, 3e-4):
         config = EvolveConfig(grid, dt, 1.0, variable_law(), BOUNDS)
-        _, _, kinetic, dissipation = tracked_run(f"energy-dt{dt:g}", config, data)
+        _, ledger = run(config, data)
+        _LEDGERS[f"energy-dt{dt:g}"] = ledger
+        kinetic, dissipation = ledger.kinetic, ledger.dissipation
         e0 = kinetic[0]
         slack_ok &= bool(np.all(np.diff(kinetic) <= 1e-6 * e0))
         defects.append(abs(kinetic[-1] + dissipation[-1] - e0))
@@ -187,8 +145,8 @@ def test_criterion_05_constant_odd_neutrality():
     finals = []
     for c, nu_o in ((0.0, "const:0.0"), (0.5, "const:0.5")):
         config = EvolveConfig(grid, 6e-4, 1.0, variable_law(nu_o), BOUNDS)
-        final, _, _, _ = tracked_run(f"neutrality-c{c:g}", config, data)
-        finals.append(final)
+        states, _LEDGERS[f"neutrality-c{c:g}"] = run(config, data)
+        finals.append(states[-1])
     a, b = finals
     du = norms(VectorField(grid, a.u.comp1 - b.u.comp1,
                            a.u.comp2 - b.u.comp2))["l2"]
@@ -224,7 +182,8 @@ def test_criterion_07_taylor_green_regression():
         ScalarField(grid, np.ones((64, 64))),
         VectorField(grid, np.sin(x1) * np.cos(x2), -np.cos(x1) * np.sin(x2)),
     )
-    final, _, _, _ = tracked_run("taylor-green", config, data)
+    states, _LEDGERS["taylor-green"] = run(config, data)
+    final = states[-1]
     amp = np.exp(-2.0 * final.t)
     err = max(
         np.max(np.abs(final.u.comp1 - amp * np.sin(x1) * np.cos(x2))),
@@ -309,18 +268,19 @@ def test_criterion_11_radial_nonexistence():
 
 
 def test_criterion_12_density_bound_preservation():
-    if not _DENSITY_RECORDS:  # standalone invocation: run one tracked case
+    if not _LEDGERS:  # standalone invocation: run one case
         grid = Grid2D(64, 64)
         config = EvolveConfig(grid, 6e-4, 1.0, variable_law(), BOUNDS)
-        tracked_run("standalone", config, standard_data(grid))
+        _, _LEDGERS["standalone"] = run(config, standard_data(grid))
     violation = 0.0
     drift = 0.0
-    for rec in _DENSITY_RECORDS.values():
-        violation = max(violation, rec["lo"] - min(rec["mins"]),
-                        max(rec["maxs"]) - rec["hi"])
-        drift = max(drift, max(abs(m - rec["mass0"]) for m in rec["masses"])
-                    / abs(rec["mass0"]))
+    for led in _LEDGERS.values():
+        # index 0 of each record is the initial density
+        violation = max(violation, led.rho_min[0] - min(led.rho_min),
+                        max(led.rho_max) - led.rho_max[0])
+        drift = max(drift, max(abs(m - led.mass[0]) for m in led.mass)
+                    / abs(led.mass[0]))
     report(12, "density-bound-preservation",
            violation <= 1e-14 and drift <= 1e-6,
-           f"{len(_DENSITY_RECORDS)} runs, worst bound violation "
+           f"{len(_LEDGERS)} runs, worst bound violation "
            f"{violation:.3e}, worst mass drift {drift:.3e}")

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from oddflow import cli
 from oddflow.cli import ConfigError, apply_schema, load_config, main
+from oddflow.evolve import InitialData
 from oddflow.fields import Grid2D, ScalarField, TensorField, VectorField
 from oddflow.io import (
     FieldDumpError,
@@ -148,6 +150,25 @@ def test_evolve_overflow_is_a_solver_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver failure" in err and "step 0 (t = 0)" in err
 
+
+def test_evolve_divergence_check_scales_with_amplitude(tmp_path, monkeypatch, capsys):
+    # Taylor-Green at amplitude 1e5: its spectral divergence rounds to 3e-10
+    cfg = _write(tmp_path / "a.cfg", "n = 16\ndt = 1e-2\nt_end = 1e-5\namplitude = 1e5\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "tg")]) == 0
+    # a divergent part of 1e-6 of that amplitude is still rejected
+    make = cli._initial_data
+
+    def divergent(cfg, grid, bounds, seed):
+        data = make(cfg, grid, bounds, seed)
+        x1, _ = grid.coords()
+        u1 = data.u0.comp1 + 1e-6 * cfg["amplitude"] * np.sin(x1)
+        return InitialData(data.rho0, VectorField(grid, u1, data.u0.comp2))
+
+    monkeypatch.setattr(cli, "_initial_data", divergent)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "div")]) == 2
+    assert "not divergence-free" in capsys.readouterr().err
+
+
 def test_stationary_command_with_boundary_file(tmp_path):
     bdry = _write(tmp_path / "b.cfg",
                   "bottom_t = 1.0\nright_t = 1.0\ntop_t = 1.0\nleft_t = 1.0\n")
@@ -232,8 +253,18 @@ def test_verify_filter_and_fault_injection(capsys):
                  "--inject-fault", "strain-odd-sign"]) == 1
     out = capsys.readouterr().out
     assert "pointwise-cancellation" in out and "FAIL" in out
-    # the fault flag must not leak into later runs
+    # the fault must not leak into later runs
     assert main(["verify", "--filter", "pointwise"]) == 0
+
+
+def test_unknown_fault_and_foreign_flags_exit_2():
+    # each subcommand takes only the flags it reads
+    for argv in (["verify", "--inject-fault", "bogus", "--filter", "pointwise"],
+                 ["evolve", "--demo", "nonexistence"],
+                 ["symmetric", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_verify_kernel_parity_needs_compiled_kernel(capsys):

@@ -251,6 +251,21 @@ def test_spectral_cg_exact_warm_start_does_not_iterate():
     assert np.array_equal(again, phat)
 
 
+def test_ledger_records_density_of_every_step():
+    g = Grid2D(16, 16)
+    data = InitialData(perturbed_density(g, seed=5),
+                       random_divfree_field(g, seed=6, cutoff=3))
+    cfg = make_config(g, 5e-3, 0.05, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+    states, ledger = run(cfg, data, store_every=1)
+    assert len(ledger.mass) == len(ledger.times) == len(states) > 2
+    for k, st in enumerate(states):
+        rho = st.rho.values
+        assert ledger.times[k] == st.t
+        assert ledger.rho_min[k] == rho.min()
+        assert ledger.rho_max[k] == rho.max()
+        assert ledger.mass[k] == np.sum(rho) * g.cell_area
+
+
 def test_runs_are_byte_stable():
     g = Grid2D(32, 32)
     data = InitialData(perturbed_density(g, seed=28),

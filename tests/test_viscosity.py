@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import sympy as sm
 
+from oddflow import viscosity
+from oddflow.cli import _FAULTS
 from oddflow.fields import Grid2D, VectorField, random_divfree_field
 from oddflow.viscosity import (
     DensityBounds,
     ViscosityLaw,
-    _FAULT_FLAGS,
     check_pointwise_cancellation,
     check_weak_cancellation,
     make_law,
@@ -122,14 +123,12 @@ def test_viscous_stress_checks_density_bounds():
     assert np.allclose(sigma.t12, s.t12 + 0.5 * o.t12)
 
 
-def test_fault_injection_breaks_cancellation():
+def test_fault_injection_breaks_cancellation(monkeypatch):
     g = Grid2D(32, 32)
     u = random_divfree_field(g, seed=9, cutoff=5)
     clean = check_pointwise_cancellation(u)
-    _FAULT_FLAGS.add("strain-odd-sign")
-    try:
-        faulty = check_pointwise_cancellation(u)
-    finally:
-        _FAULT_FLAGS.discard("strain-odd-sign")
+    # installed as `verify --inject-fault strain-odd-sign` installs it
+    monkeypatch.setattr(viscosity, *_FAULTS["strain-odd-sign"])
+    faulty = check_pointwise_cancellation(u)
     assert clean < 1e-12
     assert faulty > 1e-6
