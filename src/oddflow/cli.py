@@ -227,7 +227,7 @@ _STATIONARY_SCHEMA = {
     "eta": (str, "const:1.0"),
     "eta_max": (float, 2.0),
     "boundary_file": (str, ""),
-    "damping": (float, 0.7),
+    "damping": (float, 1.0),
     "tol": (float, 1e-9),
     "max_iter": (int, 60),
 }

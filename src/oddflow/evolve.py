@@ -243,12 +243,21 @@ def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u: VectorField, f,
 
 
 _CFL = 0.5  # advective Courant number of the adaptive step
+# a run whose CFL step falls below this fraction of _dt_cap would take a
+# million times the planned steps: it is failing, not resolving
+_DT_FLOOR = 1e-6
+
+
+def _dt_cap(config: EvolveConfig) -> float:
+    """The step without a CFL limit: config.dt or the viscous cap."""
+    h = min(config.grid.h1, config.grid.h2)
+    return min(config.dt, h * h / (8.0 * config.law.mu_upper))
 
 
 def stable_dt(config: EvolveConfig, u: VectorField) -> float:
     """Adaptive step from the advective CFL and viscous constraints."""
     h = min(config.grid.h1, config.grid.h2)
-    dt = min(config.dt, h * h / (8.0 * config.law.mu_upper))
+    dt = _dt_cap(config)
     umax = max(np.max(np.abs(u.comp1)), np.max(np.abs(u.comp2)))
     if umax > 0:
         dt = min(dt, _CFL * h / umax)
@@ -325,7 +334,9 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     ledger is appended at the initial state and after every step
     regardless.  A state that turns non-finite (an overflow) raises
     BlowUpError naming the step and the time of the last finite state;
-    step 0 is the set-up before the loop.
+    step 0 is the set-up before the loop.  So does a CFL step below
+    _DT_FLOOR of its cap, which a growing state reaches long before it
+    overflows.
     """
     k, state = 0, None
     try:
@@ -355,9 +366,14 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
         d_prev = _dissipation_rate(grid, config.law, state.rho.values, state.u)
         w_prev = _work_rate(grid, state.rho.values, state.u, f0)
         warm = {}
+        cap = _dt_cap(config)
         while state.t < config.t_end - 1e-14:
-            dt = min(stable_dt(config, state.u), config.t_end - state.t)
+            dt = stable_dt(config, state.u)
             k += 1
+            if dt < _DT_FLOOR * cap:
+                raise BlowUpError(f"CFL step {dt:.3e} fell below {_DT_FLOOR:g} of the "
+                                  f"cap {cap:.3e} in step {k} (t = {state.t:.6g})")
+            dt = min(dt, config.t_end - state.t)
             is_output = (store_every and k % store_every == 0) or (
                 state.t + dt >= config.t_end - 1e-14
             )

@@ -16,13 +16,17 @@ the inner and outer stencils are full (untruncated) convolutions, so the
 discrete A with constant coefficient vanishes identically (the stencils
 commute), mirroring the continuous cancellation.
 
-The nonlinearity is handled by damped Picard iteration with frozen
-coefficients; linear solves use a sparse direct factorization.
+The nonlinearity is handled by Anderson-accelerated Picard iteration,
+depth 3, mixing factor `damping`, on the frozen-coefficient map; linear
+solves use a sparse direct factorization on a minimum-degree ordering
+of A^T + A.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -209,13 +213,6 @@ class StationarySolution:
 
 # ------------------------------------------------------- operator assembly
 
-def _sel(n_rows, shift):
-    """Selection matrix: row r picks column r + shift."""
-    return sp.csr_matrix(
-        (np.ones(n_rows), (np.arange(n_rows), np.arange(n_rows) + shift))
-    )
-
-
 def _mats_1d(n, h, n_cols):
     """Identity/second-difference/first-difference stencil matrices whose
     row r is centered at column r + 1 of an (n_cols)-point line."""
@@ -238,8 +235,13 @@ def _mats_1d(n, h, n_cols):
     return eye, s, f
 
 
+@lru_cache(maxsize=8)
 def _stencil_pair(domain: RectDomain):
-    """(B, T) as sparse maps extended -> mid and mid -> interior."""
+    """(B, T) as sparse maps extended -> mid and mid -> interior.
+
+    Cached per domain: callers share the returned matrices and must
+    never modify them in place.
+    """
     nx, ny, h = domain.nx, domain.ny, domain.h
     ei_x, s_in_x, f_in_x = _mats_1d(nx + 2, h, nx + 4)
     ei_y, s_in_y, f_in_y = _mats_1d(ny + 2, h, ny + 4)
@@ -448,14 +450,26 @@ def _ext_to_mid(phi_ext):
     return phi_ext[1:-1, 1:-1]
 
 
-def picard_solve(problem: StationaryProblem, damping=0.7, tol=1e-9,
-                 max_iter=60) -> StationarySolution:
-    """Damped frozen-coefficient iteration for the stream function.
+_ANDERSON_DEPTH = 3
 
-    Each sweep solves [L(nu_e(rho_k)) + A(nu_o(rho_k))] phi = rhs(phi_k)
-    with the clamped boundary data eliminated through the ghost ring,
-    then relaxes with factor `damping`.  Converged when the L2 norm of
-    the update drops below tol.
+
+def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
+                 max_iter=60) -> StationarySolution:
+    """Anderson-accelerated Picard, depth 3, mixing factor `damping`.
+
+    The Picard map G sends phi_k to the solution of
+    [L(nu_e(rho_k)) + A(nu_o(rho_k))] phi = rhs(phi_k), with the clamped
+    boundary data eliminated through the ghost ring.  With residuals
+    f_k = G(phi_k) - phi_k, the next iterate is (Walker & Ni 2011)
+
+        phi_{k+1} = phi_k + b f_k - (dPhi + b dF) gamma,
+
+    b = damping, where the columns of dPhi and dF are the differences of
+    the last (at most 3) consecutive iterates and residuals and gamma
+    minimizes |f_k - dF gamma| in the least-squares sense; with no
+    history this is the relaxation phi_k + b f_k.  Converged when both
+    the update h |phi_{k+1} - phi_k| and the map residual h |f_k| are at
+    most tol.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -464,6 +478,8 @@ def picard_solve(problem: StationaryProblem, damping=0.7, tol=1e-9,
     emb, shift = clamped_embedding(dom, problem.boundary)
     phi_int = np.zeros(nx * ny)
     history = []
+    d_phi, d_res = deque(maxlen=_ANDERSON_DEPTH), deque(maxlen=_ANDERSON_DEPTH)
+    prev = None                              # (phi_k, f_k) of the last sweep
     for it in range(1, max_iter + 1):
         phi_ext = (emb @ phi_int + shift).reshape(nx + 4, ny + 4)
         rho = problem.eta(_ext_to_mid(phi_ext))
@@ -472,16 +488,27 @@ def picard_solve(problem: StationaryProblem, damping=0.7, tol=1e-9,
         )
         rhs = nonlinear_rhs(dom, phi_ext, problem.eta,
                             problem.force1, problem.force2).ravel()
-        mat = (op @ emb).tocsr()
-        target = spsolve(mat, rhs - op @ shift)
-        if not np.all(np.isfinite(target)):
-            raise PicardError("linear solver returned non-finite values",
+        mat, rhs = (op @ emb).tocsr(), rhs - op @ shift
+        del op                       # free it before the factorization's peak
+        res = spsolve(mat, rhs, permc_spec="MMD_AT_PLUS_A") - phi_int
+        if prev is not None:
+            d_phi.append(phi_int - prev[0])
+            d_res.append(res - prev[1])
+        if not np.all(np.isfinite(res)) or (d_res and not np.all(np.isfinite(d_res[-1]))):
+            raise PicardError(f"Picard map turned non-finite in iteration {it}",
                               np.inf)
-        new = (1.0 - damping) * phi_int + damping * target
-        update = h * float(np.linalg.norm(new - phi_int))
+        step = damping * res
+        if d_res:
+            df = np.column_stack(d_res)
+            gamma = np.linalg.lstsq(df, res, rcond=None)[0]
+            step -= (np.column_stack(d_phi) + damping * df) @ gamma
+        prev = (phi_int, res)
+        update = h * float(np.linalg.norm(step))
         history.append(update)
-        phi_int = new
-        if update <= tol:
+        phi_int = phi_int + step
+        # a step stalled by rounding in a diverging iteration is no fixed
+        # point: the map residual must be small too
+        if update <= tol and h * float(np.linalg.norm(res)) <= tol:
             phi_ext = (emb @ phi_int + shift).reshape(nx + 4, ny + 4)
             d1, d2 = _mid_derivs(dom, phi_ext)
             return StationarySolution(

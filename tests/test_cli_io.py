@@ -151,6 +151,15 @@ def test_evolve_overflow_is_a_solver_failure(tmp_path, capsys):
     assert "solver failure" in err and "step 0 (t = 0)" in err
 
 
+def test_evolve_collapsing_step_is_a_solver_failure(tmp_path, capsys):
+    # Taylor-Green at amplitude 1e8 on 16^2 needs a CFL step of 2e-7 of
+    # the configured one: exit 3 at once instead of 2.5e7 steps
+    cfg = _write(tmp_path / "c.cfg", "n = 16\ndt = 1e-2\nt_end = 0.05\namplitude = 1e8\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "fell below" in err and "step 1 (t = 0)" in err
+
+
 def test_evolve_divergence_check_scales_with_amplitude(tmp_path, monkeypatch, capsys):
     # Taylor-Green at amplitude 1e5: its spectral divergence rounds to 3e-10
     cfg = _write(tmp_path / "a.cfg", "n = 16\ndt = 1e-2\nt_end = 1e-5\namplitude = 1e5\n")
@@ -199,6 +208,18 @@ def test_stationary_reports_nonconvergence(tmp_path):
         f"n = 16\nboundary_file = {bdry}\nmax_iter = 1\ntol = 1e-14\n"
     ))
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def test_stationary_overflowing_map_is_a_solver_failure(tmp_path, capsys):
+    # a tangential wall speed of 1000 drives the iteration to overflow in
+    # nonlinear_rhs; the non-finite map must stop it before the Anderson
+    # least-squares step (which would raise LinAlgError), with exit 3
+    bdry = _write(tmp_path / "b.cfg", "".join(
+        f"{side}_t = 1000.0\n" for side in ("bottom", "right", "top", "left")))
+    cfg = _write(tmp_path / "s.cfg", f"n = 16\nboundary_file = {bdry}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "last update inf" in capsys.readouterr().err
 
 
 def test_symmetric_command_profiles(tmp_path):

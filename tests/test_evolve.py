@@ -295,3 +295,32 @@ def test_overflowing_force_raises_blow_up_naming_the_step():
     with pytest.raises(BlowUpError, match=r"step [1-9]\d* \(t = [0-9.e-]+\)") as err:
         run(cfg, InitialData(unit_density(g), taylor_green(g), force))
     assert isinstance(err.value, RuntimeError) and not isinstance(err.value, ValueError)
+
+
+def test_collapsing_cfl_step_raises_blow_up_naming_the_step():
+    # a 1e150 forcing makes the velocity huge after one step; the CFL step
+    # then drops to 1e-147 of its cap, which would hold t still for
+    # hundreds of steps before the state overflows
+    g = Grid2D(16, 16)
+    _, x2 = g.coords()
+
+    def force(t):
+        return VectorField(g, 1e150 * np.sin(x2), np.zeros((16, 16))) if t > 0 else None
+
+    cfg = make_config(g, 0.01, 0.05)
+    with pytest.raises(BlowUpError, match=r"fell below 1e-06 of the cap .* step 2 \(t = 0.00963829\)"):
+        run(cfg, InitialData(unit_density(g), taylor_green(g), force))
+
+
+def test_short_last_step_does_not_trip_the_dt_floor():
+    # at rest every step is the viscous cap; the last one is clipped to
+    # 1e-9 of it to land on t_end, far below the floor fraction
+    g = Grid2D(16, 16)
+    z = np.zeros((16, 16))
+    rest = VectorField(g, z, z)
+    cap = stable_dt(make_config(g, 0.01, 1.0), rest)
+    cfg = make_config(g, 0.01, cap * (2.0 + 1e-9))
+    _, ledger = run(cfg, InitialData(unit_density(g), rest))
+    steps = np.diff(ledger.times)
+    assert len(steps) == 3 and steps[-1] < 1e-6 * cap
+    assert ledger.times[-1] == pytest.approx(cfg.t_end, rel=1e-14)

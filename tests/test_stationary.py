@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import _mms
 from oddflow.stationary import (
@@ -8,6 +9,7 @@ from oddflow.stationary import (
     PicardError,
     RectDomain,
     StationaryProblem,
+    _stencil_pair,
     assemble_A,
     assemble_L,
     boundary_data_from_g,
@@ -21,6 +23,7 @@ from oddflow.stationary import (
     recover_velocity,
     residual_weak_stationary,
 )
+from oddflow.viscosity import DensityBounds, make_law
 
 
 def test_domain_validation():
@@ -94,6 +97,32 @@ def test_even_form_is_symmetric_for_interior_fields():
     f1 = float(psi_int.ravel() @ (ell @ phi_ext.ravel()))
     f2 = float(phi_int.ravel() @ (ell @ psi_ext.ravel()))
     assert abs(f1 - f2) / max(abs(f1), 1.0) < 1e-10
+
+
+def test_stencil_cache_is_keyed_by_domain():
+    (b15, _), _ = _stencil_pair(RectDomain(15, 15))
+    (b31, _), _ = _stencil_pair(RectDomain(31, 31))
+    assert b15.shape == (17 * 17, 19 * 19)
+    assert b31.shape == (33 * 33, 35 * 35)
+    assert _stencil_pair(RectDomain(15, 15))[0][0] is b15
+
+
+def test_assembly_equals_uncached_assembly():
+    # the cached stencils give the same matrix as freshly built ones, and
+    # assembling does not modify them
+    dom = RectDomain(20, 20)
+    xm, ym = dom.mid_coords()
+    mu = 1.0 + 0.4 * np.cos(2.0 * np.pi * (xm + ym))
+    fresh = _stencil_pair.__wrapped__(dom)
+    (b_in, t_in), (b_out, t_out) = fresh
+    m = sp.diags(mu.ravel())
+    uncached = (b_out @ m @ b_in + t_out @ m @ t_in).tocsr()
+    for _ in range(2):
+        ell = assemble_L(dom, mu)
+        assert ell.shape == uncached.shape and (ell != uncached).nnz == 0
+        assemble_A(dom, mu)
+    for cached, built in zip(sum(_stencil_pair(dom), ()), sum(fresh, ())):
+        assert (cached != built).nnz == 0
 
 
 def test_assembled_operator_consistency_against_sympy():
@@ -203,6 +232,45 @@ def test_picard_rejects_bad_damping_and_reports_failure():
     with pytest.raises(PicardError) as exc:
         picard_solve(prob, max_iter=1)
     assert exc.value.last_update > 0.0
+
+
+def test_picard_matches_tightened_damped_solve():
+    # the fixed point does not depend on the mixing factor: the default
+    # (1.0) solve agrees with a 0.7 one run to a thousandfold tighter tol
+    prob, _ = _mms.problem(15)
+    ref = picard_solve(prob, damping=0.7, tol=1e-12, max_iter=400)
+    sol = picard_solve(prob)
+    assert np.max(np.abs(sol.phi - ref.phi)) < 1e-8
+
+
+def test_manufactured_solve_takes_few_iterations():
+    # the damped iteration took 16; Anderson mixing takes 6
+    _, sol = _mms.solve_error(31)
+    assert sol.iterations <= 8
+    assert sol.update_history[-1] == sol.final_update_norm <= 1e-9
+
+
+def test_diverging_iteration_is_never_reported_converged():
+    # constant viscosity 1 and density 1 with tangential wall speeds of
+    # 200 and more on 16^2: the iterates grow past 1e20 and an Anderson
+    # step can cancel to zero in rounding; that must not count as
+    # convergence, because the map residual is still huge
+    dom = RectDomain(16, 16)
+    bounds = DensityBounds(0.5, 1.5)
+    law = make_law("const:1.0", "const:0.0", 0.5, 2.0, bounds)
+    z = np.zeros((18, 18))
+    for speed in (200.0, 500.0, 1e4):
+        def g(x, y):
+            if y == 0.0:
+                return (speed, 0.0)
+            if x == 1.0:
+                return (0.0, speed)
+            return (-speed, 0.0) if y == 1.0 else (0.0, -speed)
+
+        prob = StationaryProblem(dom, law, eta_affine(1.0, 0.0, 2.0), z, z,
+                                 boundary_data_from_g(dom, g))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PicardError):
+            picard_solve(prob)
 
 
 def test_manufactured_solution_second_order():
