@@ -291,8 +291,7 @@ def cmd_stationary(args):
         sol = picard_solve(problem, damping=cfg["damping"], tol=cfg["tol"],
                            max_iter=cfg["max_iter"])
     except PicardError as e:
-        print(f"stationary: no convergence (last update {e.last_update:.3e})",
-              file=sys.stderr)
+        print(f"stationary: {e}", file=sys.stderr)
         return 3
     dump_grid = Grid2D(domain.nx + 2, domain.ny + 2, domain.lx, domain.ly)
     fio.write_field(os.path.join(out, "phi.odf"), ScalarField(dump_grid, sol.phi))
@@ -517,6 +516,40 @@ def _check_parallel_strict(seed):
     return sol.extras["incompatibility"], 1e-10
 
 
+def _steady_shear_defects():
+    """Drift of u and rho, and the defect of the recovered pressure, of
+    an exact variable-density steady state run to t = 0.2 on 32^2.
+
+    rho = 1 + 0.3 cos x2 and u = (U, 0) with U = sin x2, forced by
+    f1 = -d2(mu_e(rho) U') / rho: transport and advection vanish, and the
+    odd stress is a pure x2-gradient, so the state is steady with the
+    pressure beta = mu_o(rho) U' of the parallel-flow reduction
+    (`symmetric.solve_parallel`), up to a constant.
+    """
+    grid = Grid2D(32, 32)
+    _, x2 = grid.coords()
+    bounds = DensityBounds(0.5, 1.5)
+    law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, bounds)
+    rho = 1.0 + 0.3 * np.cos(x2)
+    zero = np.zeros_like(rho)
+    # d2(mu_e(rho) U') with mu_e = 0.75 + 0.5 rho and rho' = -0.3 sin x2
+    d2_flux = -(0.75 + 0.5 * rho) * np.sin(x2) - 0.15 * np.sin(x2) * np.cos(x2)
+    force = VectorField(grid, -d2_flux / rho, zero)
+    u0 = VectorField(grid, np.sin(x2), zero)
+    data = InitialData(ScalarField(grid, rho), u0, lambda t: force)
+    states, _ = run(EvolveConfig(grid, 1e-2, 0.2, law, bounds), data)
+    final = states[-1]
+    du = max(float(np.max(np.abs(final.u.comp1 - u0.comp1))),
+             float(np.max(np.abs(final.u.comp2))))
+    drho = float(np.max(np.abs(final.rho.values - rho)))
+    dp = final.pressure.values - law.mu_o(rho) * np.cos(x2)
+    return du, drho, float(np.max(np.abs(dp - np.mean(dp))))
+
+
+def _check_steady_shear(seed):
+    return max(_steady_shear_defects()), 1e-11
+
+
 def _check_fielddump(seed, tmpdir="."):
     import tempfile
     grid = Grid2D(16, 12, 1.0, 0.75)
@@ -555,6 +588,7 @@ _CHECKS = [
     ("radial-constant-odd-invariance", _check_radial_invariance),
     ("concentric-odd-independence", _check_concentric_independence),
     ("parallel-strict-compatibility", _check_parallel_strict),
+    ("parallel-steady-state", _check_steady_shear),
     ("fielddump-roundtrip", _check_fielddump),
     ("semilag-kernel-parity", _check_kernel_parity),
 ]

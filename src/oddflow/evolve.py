@@ -1,16 +1,28 @@
 """Time integration of the evolutionary system on the periodic torus.
 
-Scheme: semi-Lagrangian density transport (bound-preserving), explicit
-RK2 on the velocity with the variable-density pressure projection applied
-to each stage tendency, 2/3-rule dealiasing on all products and a
-Fourier-Galerkin mode cutoff.  Projecting per stage (rather than once per
-step) keeps the discrete trajectory exactly independent of a constant
-odd-viscosity coefficient: each stage's odd tendency is a gradient over
-the same density field the projection uses, so it is removed completely.
+Scheme: semi-Lagrangian density transport (bound-preserving), ETDRK2
+(Cox & Matthews 2002) on the velocity with the variable-density pressure
+projection applied to each stage tendency, 2/3-rule dealiasing on all
+products and a Fourier-Galerkin mode cutoff.  The shear viscosity is
+split as in Guermond & Salgado (2009): a constant-coefficient part
+nu_s Lap u, with nu_s the largest mu_e(rho)/rho over the step's two
+densities, is integrated exactly as a diagonal on rfft2 coefficients,
+and the rest of the tendency is explicit.  So the viscous terms set no
+step limit: the step is config.dt or the advective CFL step.  At constant
+coefficients the explicit remainder of the viscous term vanishes, and a
+steady state of the full tendency stays a fixed point of the step.
+
+Projecting per stage (rather than once per step) keeps the discrete
+trajectory exactly independent of a constant odd-viscosity coefficient:
+each stage's odd tendency is a gradient over the same density field the
+projection uses, so it is removed completely.  The projection acts
+before the exact factors, which map divergence-free fields to
+divergence-free fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -23,9 +35,11 @@ from .fields import (
     VectorField,
     _div_hat,
     _grad_hat,
+    _gradient_planes,
     _irfft,
     _rfft,
     _rfft_inner,
+    _rfft_laplacian_symbol,
     _rfft_mode_mask,
     _rfft_wavenumbers,
     _velocity_gradient,
@@ -92,7 +106,10 @@ class EnergyLedger:
     cumulative trapezoid integrals of int mu_e |sym strain|^2 and
     2 int rho f.u.  The odd viscosity never enters the ledger.
     rho_min[k], rho_max[k] and mass[k] = int rho dx record the density
-    at times[k], for the bound and mass checks.
+    at times[k], for the bound and mass checks.  dt[k] is the length of
+    step k + 1 (from times[k] to times[k + 1]) and limit[k] what set it:
+    "config" (config.dt), "cfl" (the advective CFL step) or "t_end" (the
+    step was clipped to land on t_end).
     """
 
     times: list = field(default_factory=list)
@@ -102,6 +119,8 @@ class EnergyLedger:
     rho_min: list = field(default_factory=list)
     rho_max: list = field(default_factory=list)
     mass: list = field(default_factory=list)
+    dt: list = field(default_factory=list)
+    limit: list = field(default_factory=list)
 
     def balance_defect(self, k=-1):
         return (
@@ -112,14 +131,10 @@ class EnergyLedger:
         )
 
 
-def _truncate(grid: Grid2D, vals, cutoff):
-    """Galerkin mode cutoff of a plane or a stack of planes."""
-    return _irfft(grid, _rfft(vals) * _rfft_mode_mask(grid, cutoff))
-
-
-def _advective_rhs(grid, law, rho, u: VectorField, f, cutoff):
+def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
     """Velocity tendency before pressure: -(u.grad)u + div(sigma)/rho + f,
-    as a (2, n1, n2) stack.
+    as a (2, n1, n2) stack, of the velocity stack `u` with rfft2
+    coefficients `uhat`.
 
     Single fused spectral pass: velocity derivatives are computed once and
     shared by the advection term and both strain tensors; the 2/3 mask is
@@ -128,8 +143,8 @@ def _advective_rhs(grid, law, rho, u: VectorField, f, cutoff):
     which bounds the peak memory.
     """
     mask = _rfft_mode_mask(grid, cutoff)
-    u1, u2 = u.comp1, u.comp2
-    d1u1, d2u1, d1u2, d2u2 = _velocity_gradient(u)
+    u1, u2 = u
+    d1u1, d2u1, d1u2, d2u2 = _gradient_planes(grid, uhat)
     me = law.mu_e(rho)
     mo = law.mu_o(rho)
     off_sym = d2u1 + d1u2
@@ -234,40 +249,55 @@ def _project_tendency(grid, rho, g, p0=None):
     return g - _irfft(grid, _grad_hat(grid, qhat)) / rho, qhat
 
 
-def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u: VectorField, f,
+def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u, uhat, f,
                      cutoff, p0=None) -> np.ndarray:
     """rfft2 coefficients of the mean-zero pressure consistent with the
-    instantaneous state."""
-    g = _advective_rhs(grid, law, rho, u, f, cutoff)
+    instantaneous state; `u` is the velocity stack and `uhat` its rfft2
+    coefficients."""
+    g = _advective_rhs(grid, law, rho, u, uhat, f, cutoff)
     return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)
 
 
 _CFL = 0.5  # advective Courant number of the adaptive step
-# a run whose CFL step falls below this fraction of _dt_cap would take a
-# million times the planned steps: it is failing, not resolving
+# a run whose CFL step falls below this fraction of config.dt would take
+# a million times the planned steps: it is failing, not resolving
 _DT_FLOOR = 1e-6
-
-
-def _dt_cap(config: EvolveConfig) -> float:
-    """The step without a CFL limit: config.dt or the viscous cap."""
-    h = min(config.grid.h1, config.grid.h2)
-    return min(config.dt, h * h / (8.0 * config.law.mu_upper))
+# below this z the closed form of phi2(-z) loses digits to cancellation;
+# nine terms of its series are exact to rounding there
+_PHI2_SERIES_Z = 0.1
 
 
 def stable_dt(config: EvolveConfig, u: VectorField) -> float:
-    """Adaptive step from the advective CFL and viscous constraints."""
+    """Adaptive step: config.dt or the advective CFL step, whichever is
+    smaller.  The viscous terms set no limit (see the module docstring)."""
     h = min(config.grid.h1, config.grid.h2)
-    dt = _dt_cap(config)
+    dt = config.dt
     umax = max(np.max(np.abs(u.comp1)), np.max(np.abs(u.comp2)))
     if umax > 0:
         dt = min(dt, _CFL * h / umax)
     return dt
 
 
+def _etd_weights(z):
+    """exp(-z), phi1 = (1 - exp(-z)) / z and phi2 = (exp(-z) - 1 + z) / z^2
+    for z >= 0: with z = dt nu_s |k|^2, the exact weights of the initial
+    value and of a constant and a linear forcing over one step of
+    y' = -nu_s |k|^2 y + n(t)."""
+    positive = z > 0.0
+    zs = np.where(positive, z, 1.0)
+    em1 = np.expm1(-z)
+    phi1 = np.where(positive, -em1 / zs, 1.0)
+    series = np.zeros_like(z)  # sum_j (-z)^j / (j + 2)!
+    for j in range(8, -1, -1):
+        series = series * -z + 1.0 / math.factorial(j + 2)
+    phi2 = np.where(z > _PHI2_SERIES_Z, (z + em1) / (zs * zs), series)
+    return em1 + 1.0, phi1, phi2
+
+
 def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
          dt: float, with_pressure: bool, warm: dict) -> SimulationState:
-    """One time step: density transport, projected RK2 on the velocity,
-    Galerkin mode truncation, diagnostic pressure recovery.
+    """One time step: density transport, projected ETDRK2 on the velocity
+    with Galerkin mode truncation, diagnostic pressure recovery.
 
     `warm` is a mutable dict reused across steps to warm-start the three
     CG solves by linear extrapolation of the previous solutions, all held
@@ -288,19 +318,36 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     rho_new = advect_scalar(state.rho, state.u, dt)
     rho0 = state.rho.values
     rho1 = rho_new.values
-    u0 = np.stack((state.u.comp1, state.u.comp2))
 
-    g = _advective_rhs(grid, config.law, rho0, state.u, f_now, cutoff)
-    k1, q1 = _project_tendency(grid, rho0, g, p0=guess("q1"))
-    u_mid = VectorField(grid, *_truncate(grid, u0 + dt * k1, cutoff))
-    g = _advective_rhs(grid, config.law, rho1, u_mid, f_next, cutoff)
-    k2, q2 = _project_tendency(grid, rho1, g, p0=guess("q2"))
-    u_new = VectorField(grid, *_truncate(grid, u0 + 0.5 * dt * (k1 + k2), cutoff))
+    u = np.stack((state.u.comp1, state.u.comp2))
+    uhat = _rfft(u)
+    g = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
+    k, q1 = _project_tendency(grid, rho0, g, p0=guess("q1"))
+    # the stiff part is -lam * uhat, lam = nu_s |k|^2; n0 is the rest of
+    # the projected stage-1 tendency; the mode cutoff is folded into the
+    # weights
+    nu_s = max(float(np.max(config.law.mu_e(r) / r)) for r in (rho0, rho1))
+    lam = nu_s * _rfft_laplacian_symbol(grid)
+    mask = _rfft_mode_mask(grid, cutoff)
+    decay, w1, w2 = _etd_weights(dt * lam)
+    decay *= mask
+    w1 *= dt * mask
+    w2 *= dt * mask
+    n0 = _rfft(k) + lam * uhat
+    uhat = decay * uhat + w1 * n0
+    u = _irfft(grid, uhat)
+    del g, k, decay, w1  # not needed in stage 2, whose right side is the peak
+    g = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
+    k, q2 = _project_tendency(grid, rho1, g, p0=guess("q2"))
+    uhat += w2 * (_rfft(k) + lam * uhat - n0)
+    del g, k, n0
+    u = _irfft(grid, uhat)
+    u_new = VectorField(grid, *u)
     warm["q1_old"], warm["q2_old"] = warm.get("q1"), warm.get("q2")
     warm["q1"], warm["q2"] = q1, q2
     if with_pressure:
         phat = recover_pressure(
-            grid, config.law, rho1, u_new, f_next, cutoff, p0=guess("pr")
+            grid, config.law, rho1, u, uhat, f_next, cutoff, p0=guess("pr")
         )
         warm["pr_old"] = warm.get("pr")
         warm["pr"] = phat
@@ -335,7 +382,7 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     regardless.  A state that turns non-finite (an overflow) raises
     BlowUpError naming the step and the time of the last finite state;
     step 0 is the set-up before the loop.  So does a CFL step below
-    _DT_FLOOR of its cap, which a growing state reaches long before it
+    _DT_FLOOR of config.dt, which a growing state reaches long before it
     overflows.
     """
     k, state = 0, None
@@ -344,10 +391,12 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
         grid = config.grid
         force = data.force
         f0 = force(0.0) if force else None
+        u0 = np.stack((data.u0.comp1, data.u0.comp2))
         state = SimulationState(
             0.0, data.rho0, data.u0,
             ScalarField(grid, _irfft(grid, recover_pressure(
-                grid, config.law, data.rho0.values, data.u0, f0, config.cutoff))),
+                grid, config.law, data.rho0.values, u0, _rfft(u0), f0,
+                config.cutoff))),
         )
         ledger = EnergyLedger()
 
@@ -366,14 +415,18 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
         d_prev = _dissipation_rate(grid, config.law, state.rho.values, state.u)
         w_prev = _work_rate(grid, state.rho.values, state.u, f0)
         warm = {}
-        cap = _dt_cap(config)
         while state.t < config.t_end - 1e-14:
             dt = stable_dt(config, state.u)
+            limit = "config" if dt == config.dt else "cfl"
             k += 1
-            if dt < _DT_FLOOR * cap:
+            if dt < _DT_FLOOR * config.dt:
                 raise BlowUpError(f"CFL step {dt:.3e} fell below {_DT_FLOOR:g} of the "
-                                  f"cap {cap:.3e} in step {k} (t = {state.t:.6g})")
-            dt = min(dt, config.t_end - state.t)
+                                  f"configured dt {config.dt:.3e} in step {k} "
+                                  f"(t = {state.t:.6g})")
+            if config.t_end - state.t < dt:
+                dt, limit = config.t_end - state.t, "t_end"
+            ledger.dt.append(dt)
+            ledger.limit.append(limit)
             is_output = (store_every and k % store_every == 0) or (
                 state.t + dt >= config.t_end - 1e-14
             )

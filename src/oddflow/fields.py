@@ -192,9 +192,15 @@ def _div_hat(grid, vhat):
 def _velocity_gradient(u: VectorField):
     """(d1 u1, d2 u1, d1 u2, d2 u2) as one (4, n1, n2) array, from one
     batched forward and one batched inverse transform."""
-    g = u.grid
-    dhat = _grad_hat(g, _rfft(np.stack((u.comp1, u.comp2))))
-    return _irfft(g, dhat.reshape((4,) + dhat.shape[2:]))
+    return _gradient_planes(u.grid, _rfft(np.stack((u.comp1, u.comp2))))
+
+
+def _gradient_planes(grid, uhat):
+    """(d1 u1, d2 u1, d1 u2, d2 u2) as one (4, n1, n2) array from the
+    rfft2 coefficients (2, n1, m) of a velocity, in one batched inverse
+    transform."""
+    dhat = _grad_hat(grid, uhat)
+    return _irfft(grid, dhat.reshape((4,) + dhat.shape[2:]))
 
 
 def grad(s: ScalarField) -> VectorField:

@@ -495,8 +495,8 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
             d_phi.append(phi_int - prev[0])
             d_res.append(res - prev[1])
         if not np.all(np.isfinite(res)) or (d_res and not np.all(np.isfinite(d_res[-1]))):
-            raise PicardError(f"Picard map turned non-finite in iteration {it}",
-                              np.inf)
+            raise PicardError(f"Picard map turned non-finite in iteration {it} "
+                              "(last update inf)", np.inf)
         step = damping * res
         if d_res:
             df = np.column_stack(d_res)

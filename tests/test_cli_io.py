@@ -222,6 +222,18 @@ def test_stationary_overflowing_map_is_a_solver_failure(tmp_path, capsys):
     assert "last update inf" in capsys.readouterr().err
 
 
+def test_stationary_failure_names_the_iteration(tmp_path, capsys):
+    # the exit-3 report carries the PicardError message, which says where
+    # the iteration failed
+    bdry = _write(tmp_path / "b.cfg", "".join(
+        f"{side}_t = 1000.0\n" for side in ("bottom", "right", "top", "left")))
+    cfg = _write(tmp_path / "s.cfg", f"n = 16\nboundary_file = {bdry}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "stationary: Picard map turned non-finite in iteration 24" in err
+
+
 def test_symmetric_command_profiles(tmp_path):
     cfg = _write(tmp_path / "p.cfg",
                  "symmetry = parallel\nC = -2.0\nu_a = 0.0\nu_b = 0.0\n")

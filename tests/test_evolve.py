@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oddflow.cli import _steady_shear_defects
 from oddflow.evolve import (  # noqa: the weak-form test field gets an alias
     BlowUpError,
     EnergyLedger,
@@ -78,14 +79,14 @@ def test_initial_data_validation():
         InitialData(unit_density(g), bad_u).validate(bounds)
 
 
-def test_stable_dt_respects_cfl_and_viscous_limits():
+def test_stable_dt_is_config_dt_or_cfl_step():
+    # no viscous limit: the CFL step 0.0245 binds for dt = 1, where
+    # h^2 / (8 mu_upper) would have been 0.0024
     g = Grid2D(32, 32)
-    cfg = make_config(g, 1.0, 1.0)
     u = taylor_green(g, amp=4.0)
-    dt = stable_dt(cfg, u)
-    h = g.h1
-    assert dt <= h * h / (8.0 * cfg.law.mu_upper) + 1e-15
-    assert dt <= 0.5 * h / 4.0 + 1e-15
+    umax = max(np.max(np.abs(u.comp1)), np.max(np.abs(u.comp2)))
+    for dt in (1.0, 1e-3):
+        assert stable_dt(make_config(g, dt, 1.0), u) == min(dt, 0.5 * g.h1 / umax)
 
 
 def test_zero_initial_data_stays_zero():
@@ -144,7 +145,7 @@ def test_energy_inequality_and_defect_halving():
     data = InitialData(perturbed_density(g, seed=1),
                        random_divfree_field(g, seed=2, cutoff=4))
     defects = []
-    for dt in (2e-3, 1e-3):  # both below the 32^2 viscous stability cap
+    for dt in (2e-3, 1e-3):
         cfg = make_config(g, dt, 0.25, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
         _, ledger = run(cfg, data)
         e0 = ledger.kinetic[0]
@@ -298,9 +299,9 @@ def test_overflowing_force_raises_blow_up_naming_the_step():
 
 
 def test_collapsing_cfl_step_raises_blow_up_naming_the_step():
-    # a 1e150 forcing makes the velocity huge after one step; the CFL step
-    # then drops to 1e-147 of its cap, which would hold t still for
-    # hundreds of steps before the state overflows
+    # a 1e150 forcing makes the velocity huge after one step of the
+    # configured dt 0.01; the CFL step then drops to 1e-147 of it, which
+    # would hold t still for hundreds of steps before the state overflows
     g = Grid2D(16, 16)
     _, x2 = g.coords()
 
@@ -308,12 +309,12 @@ def test_collapsing_cfl_step_raises_blow_up_naming_the_step():
         return VectorField(g, 1e150 * np.sin(x2), np.zeros((16, 16))) if t > 0 else None
 
     cfg = make_config(g, 0.01, 0.05)
-    with pytest.raises(BlowUpError, match=r"fell below 1e-06 of the cap .* step 2 \(t = 0.00963829\)"):
+    with pytest.raises(BlowUpError, match=r"fell below 1e-06 of the configured dt .* step 2 \(t = 0.01\)"):
         run(cfg, InitialData(unit_density(g), taylor_green(g), force))
 
 
 def test_short_last_step_does_not_trip_the_dt_floor():
-    # at rest every step is the viscous cap; the last one is clipped to
+    # at rest every step is the configured dt; the last one is clipped to
     # 1e-9 of it to land on t_end, far below the floor fraction
     g = Grid2D(16, 16)
     z = np.zeros((16, 16))
@@ -324,3 +325,52 @@ def test_short_last_step_does_not_trip_the_dt_floor():
     steps = np.diff(ledger.times)
     assert len(steps) == 3 and steps[-1] < 1e-6 * cap
     assert ledger.times[-1] == pytest.approx(cfg.t_end, rel=1e-14)
+
+
+def test_exact_variable_density_steady_shear_stays_steady():
+    # rho = 1 + 0.3 cos x2, u = (sin x2, 0), variable laws: a fixed point
+    # of the step, with the closed-form pressure mu_o(rho) U'
+    du, drho, dp = _steady_shear_defects()
+    assert du <= 1e-12 and drho <= 1e-12
+    assert dp <= 1e-11
+
+
+def test_ledger_records_the_limit_of_every_step():
+    # the evolve-uniform-256 inputs: the CFL step (4.3e-3) and dt exceed
+    # t_end, so one step lands on it
+    g = Grid2D(256, 256)
+    cfg = make_config(g, 6e-4, 3e-4, nu_o="const:0.5")
+    data = InitialData(unit_density(g), random_divfree_field(g, seed=7, cutoff=4))
+    _, ledger = run(cfg, data)
+    assert ledger.limit == ["t_end"] and ledger.dt == [3e-4]
+    # the README example on 64^2: the configured dt, then a short last step
+    g = Grid2D(64, 64)
+    cfg = make_config(g, 6e-4, 0.02, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+    data = InitialData(perturbed_density(g, seed=1),
+                       random_divfree_field(g, seed=2, cutoff=4))
+    _, ledger = run(cfg, data)
+    assert len(ledger.dt) == len(ledger.limit) == len(ledger.times) - 1 == 34
+    assert set(ledger.limit[:-1]) == {"config"} and ledger.limit[-1] == "t_end"
+    assert all(dt == 6e-4 for dt in ledger.dt[:-1])
+    assert np.diff(ledger.times) == pytest.approx(ledger.dt, rel=1e-9)
+
+
+def test_steps_four_times_the_old_viscous_cap_are_stable_and_second_order():
+    # 128^2, variable laws, dt = 6e-4 where h^2 / (8 mu_upper) = 1.5e-4;
+    # an explicit RK2 on the viscous term is unstable beyond about 3e-4
+    g = Grid2D(128, 128)
+    data = InitialData(perturbed_density(g, seed=12),
+                       random_divfree_field(g, seed=13, cutoff=4))
+    finals = []
+    for dt in (6e-4, 3e-4, 1.5e-4):
+        cfg = make_config(g, dt, 0.012, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+        states, ledger = run(cfg, data)
+        assert all(d == dt for d in ledger.dt[:-1])
+        assert np.all(np.diff(ledger.kinetic) <= 1e-6 * ledger.kinetic[0])
+        assert min(ledger.rho_min) >= ledger.rho_min[0]
+        assert max(ledger.rho_max) <= ledger.rho_max[0]
+        assert norms(divergence(states[-1].u))["linf"] <= 1e-8
+        finals.append(states[-1].u)
+    diffs = [norms(VectorField(g, a.comp1 - b.comp1, a.comp2 - b.comp2))["l2"]
+             for a, b in zip(finals, finals[1:])]
+    assert diffs[0] >= 3.0 * diffs[1]
