@@ -357,13 +357,14 @@ def test_ledger_records_the_limit_of_every_step():
 
 def test_steps_four_times_the_old_viscous_cap_are_stable_and_second_order():
     # 128^2, variable laws, dt = 6e-4 where h^2 / (8 mu_upper) = 1.5e-4;
-    # an explicit RK2 on the viscous term is unstable beyond about 3e-4
+    # with the whole viscous term explicit in the RK2, the kinetic energy
+    # grows to 6 times its initial value by t = 0.024 at this dt
     g = Grid2D(128, 128)
     data = InitialData(perturbed_density(g, seed=12),
                        random_divfree_field(g, seed=13, cutoff=4))
     finals = []
     for dt in (6e-4, 3e-4, 1.5e-4):
-        cfg = make_config(g, dt, 0.012, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+        cfg = make_config(g, dt, 0.024, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
         states, ledger = run(cfg, data)
         assert all(d == dt for d in ledger.dt[:-1])
         assert np.all(np.diff(ledger.kinetic) <= 1e-6 * ledger.kinetic[0])
