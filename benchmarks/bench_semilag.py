@@ -1,13 +1,16 @@
 """Benchmark the bicubic interpolation kernels: compiled vs numpy.
 
-Run as: python3 benchmarks/bench_semilag.py [grid_size ...]
+Run as: PYTHONPATH=src python3 benchmarks/bench_semilag.py [grid_size ...]
+after `python setup.py build_ext --inplace`; unbuilt, only the numpy twin runs.
 
 Two point sets on an n x n grid: `uniform`, n^2 points drawn uniformly
 from [-10, 10]^2 (scattered gathers), and `departure`, the grid nodes
 each shifted by less than one cell (what transport asks for).  Two calls:
 `plane`, one clamped scalar plane, and `pair`, a (2, n, n) velocity stack
-sampled unclamped at the same points.  Times are the best of 5 in ns per
-point; a pair call counts each point once, for its two values.
+sampled unclamped at the same points; both kernels take the stack in one
+call and find each point's stencil once for its two planes.  Times are the
+best of 5 in ns per point; a pair call counts each point once, for its two
+values.
 """
 
 import sys

@@ -1,18 +1,5 @@
-import numpy
 from setuptools import Extension, setup
 
-# With Cython the kernel is generated afresh from the .pyx; without it the
-# committed generated C is compiled, so a C compiler is all a build needs.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-kernel = Extension(
-    "oddflow._semilag_cy",
-    ["src/oddflow/_semilag_cy.pyx" if cythonize else "src/oddflow/_semilag_cy.c"],
-    include_dirs=[numpy.get_include()],
-    define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-)
-
-setup(ext_modules=cythonize([kernel], language_level=3) if cythonize else [kernel])
+# The kernel is one hand-written C file on the buffer protocol: a build needs
+# a C compiler and Python's headers, nothing else.
+setup(ext_modules=[Extension("oddflow._semilag_c", ["src/oddflow/_semilag_c.c"])])

@@ -1,4 +1,4 @@
-"""Pure-numpy twin of the compiled bicubic kernel (see _semilag_cy.pyx): its
+"""Pure-numpy twin of the compiled bicubic kernel (see _semilag_c.c): its
 arithmetic in its order, on planes wrap-padded by one node before and two after
 on both axes, so a point's 4x4 stencil is 16 fixed offsets from one flat index."""
 
@@ -14,7 +14,8 @@ def _weights(t):
 def bicubic_periodic(values, x1, x2, h1, h2, clamp=True):
     """Clamped cubic Lagrange interpolation on a periodic grid.
 
-    Same contract as the compiled kernel: sample `values` at points (x1, x2);
+    Same sampling as the compiled kernel (which fills a caller's `out`
+    rather than returning a new array): sample `values` at points (x1, x2);
     with clamp=True the result is limited to the min/max of the surrounding
     2x2 nodes.  A (k, n1, n2) stack is sampled in one pass into (k, m).
     """

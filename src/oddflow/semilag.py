@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 try:
-    from . import _semilag_cy as _kernel
+    from . import _semilag_c as _kernel
 
     USING_COMPILED = True
 except ImportError:  # pragma: no cover - depends on build environment
@@ -28,30 +28,30 @@ def interp_bicubic(grid: Grid2D, values, x1, x2, clamp=True, compiled=None):
 
     `values` is one (n1, n2) plane, or a (k, n1, n2) stack of planes
     sampled at the same points; the result has the shape of x1, with a
-    leading axis of length k for a stack.  The numpy twin shares the
-    stencil geometry across a stack in one call; the compiled kernel
-    takes one plane per call.
+    leading axis of length k for a stack.  Both kernels find each point's
+    stencil geometry once for all planes of a stack.
 
     `compiled` picks the kernel: None the one selected at import time,
     False the numpy twin, True the compiled extension or nothing (raises
-    ImportError when `oddflow._semilag_cy` is not built).
+    ImportError when `oddflow._semilag_c` is not built).
     """
     if compiled and not USING_COMPILED:
         raise ImportError(
-            "compiled kernel requested but oddflow._semilag_cy is not built "
+            "compiled kernel requested but oddflow._semilag_c is not built "
             "(python setup.py build_ext --inplace)",
-            name="oddflow._semilag_cy",
+            name="oddflow._semilag_c",
         )
     kern = _kernel if compiled is None else (_kernel if compiled else _semilag_np)
     values = np.ascontiguousarray(values, dtype=float)
     shape = np.shape(x1)
     x1 = np.ravel(np.asarray(x1, dtype=float))
     x2 = np.ravel(np.asarray(x2, dtype=float))
-    if values.ndim == 3 and kern is not _semilag_np:
-        out = np.stack([kern.bicubic_periodic(v, x1, x2, grid.h1, grid.h2, clamp)
-                        for v in values])
-    else:
+    if kern is _semilag_np:
         out = kern.bicubic_periodic(values, x1, x2, grid.h1, grid.h2, clamp)
+    else:
+        planes = values.reshape((-1,) + values.shape[-2:])
+        out = np.empty((len(planes), x1.size))
+        kern.bicubic_periodic(planes, x1, x2, grid.h1, grid.h2, clamp, out)
     return np.reshape(out, values.shape[:-2] + shape)
 
 

@@ -98,12 +98,6 @@ def eta_affine(a, b, rho_max):
     return EtaFunction(lambda s: np.clip(a + b * s, 0.0, rho_max), rho_max)
 
 
-def eta_clamped_sine(amplitude, rho_max):
-    return EtaFunction(
-        lambda s: np.clip(amplitude * (1.0 + np.sin(s)), 0.0, rho_max), rho_max
-    )
-
-
 def eta_table(s_nodes, values, rho_max):
     """Piecewise-linear eta through (s_nodes, values), constant outside."""
     s_nodes = np.asarray(s_nodes, dtype=float)

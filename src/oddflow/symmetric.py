@@ -384,10 +384,6 @@ def _radial_jump_rescue(C, n, mo_center, rho, mu_e_target, iterations):
 
 # ---------------------------------------------------------- verification
 
-def _fd1(a, h, axis=0):
-    return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) / (2.0 * h)
-
-
 def verify_full_momentum(sol: SymmetricSolution, problem) -> float:
     """Substitute profile and reconstructed pressure into the unreduced
     stationary momentum equations; returns the interior L-infinity

@@ -307,4 +307,4 @@ def test_verify_kernel_parity_needs_compiled_kernel(capsys):
     out = capsys.readouterr().out
     assert "semilag-kernel-parity" in out
     if not USING_COMPILED:
-        assert "FAIL" in out and "oddflow._semilag_cy" in out
+        assert "FAIL" in out and "oddflow._semilag_c" in out

@@ -40,6 +40,10 @@ def built_package(tmp_path_factory):
         cwd=REPO, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the kernel is hand-written C: a compiler warning is a defect in it
+    warnings = [line for line in (proc.stdout + proc.stderr).splitlines()
+                if "warning:" in line]
+    assert not warnings, "\n".join(warnings)
     (lib / "oddflow").mkdir(parents=True, exist_ok=True)
     for module in PACKAGE_SRC.glob("*.py"):
         shutil.copy(module, lib / "oddflow")
@@ -48,8 +52,8 @@ def built_package(tmp_path_factory):
 
 def _built_kernel(lib):
     """Load the built extension in this process, next to the source package."""
-    path = lib / "oddflow" / ("_semilag_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
-    spec = importlib.util.spec_from_file_location("oddflow._semilag_cy", path)
+    path = lib / "oddflow" / ("_semilag_c" + sysconfig.get_config_var("EXT_SUFFIX"))
+    spec = importlib.util.spec_from_file_location("oddflow._semilag_c", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -78,10 +82,60 @@ def test_kernel_parity_compiled_vs_numpy(built_package):
     vals = rng.standard_normal((32, 48))
     x1 = rng.uniform(-12.0, 12.0, 2000)
     x2 = rng.uniform(-12.0, 12.0, 2000)
+    stack = rng.standard_normal((2, 32, 48))
+    for v in (vals, stack):
+        for clamp in (True, False):
+            a = np.empty((v.size // (32 * 48), x1.size))
+            compiled.bicubic_periodic(v.reshape(-1, 32, 48), x1, x2, g.h1, g.h2, clamp, a)
+            b = _semilag_np.bicubic_periodic(v, x1, x2, g.h1, g.h2, clamp)
+            assert np.max(np.abs(a.reshape(b.shape) - b)) < 5e-14
+
+
+@needs_cc
+def test_compiled_kernel_checks_its_arguments(built_package):
+    compiled = _built_kernel(built_package)
+    g = Grid2D(32, 48, 5.0, 7.0)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((2, 32, 48))
+    x1 = rng.uniform(-12.0, 12.0, 100)
+    x2 = rng.uniform(-12.0, 12.0, 100)
+    out = np.empty((2, 100))
+    frozen = np.empty((2, 100))
+    frozen.flags.writeable = False
+    malformed = [
+        (vals[0], x1, x2, out),  # values: a plane, not a stack
+        (vals.astype(np.float32), x1, x2, out),
+        (np.asfortranarray(vals), x1, x2, out),
+        (vals.tolist(), x1, x2, out),
+        (vals, x1[:99], x2, out),  # x1 and x2 differ in length
+        (vals, x1, x2.astype(np.int64), out),
+        (vals, x1, x2, np.empty((2, 99))),  # out: wrong shape
+        (vals, x1, x2, np.empty((1, 100))),
+        (vals, x1, x2, np.empty(200)),
+        (vals, x1, x2, frozen),
+        (np.ascontiguousarray(vals[:, :3]), x1, x2, out),  # shorter than the stencil
+        (np.ascontiguousarray(vals[:, :, :3]), x1, x2, out),
+    ]
+    for v, p1, p2, o in malformed:
+        with pytest.raises((ValueError, TypeError)):
+            compiled.bicubic_periodic(v, p1, p2, g.h1, g.h2, True, o)
+
+    # a non-finite point gives NaN in both kernels, and is never an index
+    p1 = np.array([np.nan, np.inf, -np.inf, 1.0, 1.0, 1.0, 1.0])
+    p2 = np.array([2.0, 2.0, 2.0, np.nan, np.inf, -np.inf, 2.0])
     for clamp in (True, False):
-        a = compiled.bicubic_periodic(vals, x1, x2, g.h1, g.h2, clamp)
-        b = _semilag_np.bicubic_periodic(vals, x1, x2, g.h1, g.h2, clamp)
-        assert np.max(np.abs(a - b)) < 5e-14
+        a = np.empty((2, p1.size))
+        compiled.bicubic_periodic(vals, p1, p2, g.h1, g.h2, clamp, a)
+        with np.errstate(invalid="ignore"):
+            b = _semilag_np.bicubic_periodic(vals, p1, p2, g.h1, g.h2, clamp)
+        assert np.all(np.isnan(a[:, :6])) and np.all(np.isnan(b[:, :6]))
+        assert np.array_equal(a[:, 6], b[:, 6])
+    # a point too far out for an integer index still finds its node by period
+    # (h2 = 1/8 makes the far point an exact whole number of periods)
+    far, near = np.empty((2, 1)), np.empty((2, 1))
+    for x, o in ((2.0**70 * 48 / 8, far), (0.0, near)):
+        compiled.bicubic_periodic(vals, np.array([2.0]), np.array([x]), g.h1, 1 / 8, True, o)
+    assert np.array_equal(far, near)
 
 
 
