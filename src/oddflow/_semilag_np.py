@@ -4,11 +4,23 @@ on both axes, so a point's 4x4 stencil is 16 fixed offsets from one flat index."
 
 import numpy as np
 
+_FAR = 2.0**62  # past this a cell number may not fit an int64 (the compiled kernel's bound)
+
 
 def _weights(t):
     tp1, tm1, tm2 = t + 1.0, t - 1.0, t - 2.0
     return (-t * tm1 * tm2 / 6.0, tp1 * tm1 * tm2 / 2.0,
             -tp1 * t * tm2 / 2.0, tp1 * t * tm1 / 6.0)
+
+
+def _reduced(s, n):
+    """Points s (in node spacings) on an axis of n nodes, and their cells
+    floor(s), made safe to cast: a non-finite s becomes NaN, with cell 0,
+    and one past _FAR, a whole number there, is reduced by fmod, as the
+    compiled kernel reduces its cell."""
+    s = np.where(np.isfinite(s), s, np.nan)
+    s = np.where(np.abs(s) < _FAR, s, np.fmod(s, n))
+    return s, np.nan_to_num(np.floor(s))
 
 
 def bicubic_periodic(values, x1, x2, h1, h2, clamp=True):
@@ -28,6 +40,10 @@ def bicubic_periodic(values, x1, x2, h1, h2, clamp=True):
         blk = slice(c, c + 8192)
         s1, s2 = x1[blk] / h1, x2[blk] / h2
         f1, f2 = np.floor(s1), np.floor(s2)
+        # a sum of squares below _FAR^2 bounds every |f|, and is NaN or inf
+        # if any f is; of such tests a dot product is the cheapest
+        if not np.dot(f1, f1) + np.dot(f2, f2) < _FAR * _FAR:
+            (s1, f1), (s2, f2) = _reduced(s1, m1 - 3), _reduced(s2, m2 - 3)
         w1, w2 = _weights(s1 - f1), _weights(s2 - f2)
         base = np.mod(f1.astype(np.int64), m1 - 3) * m2 + np.mod(f2.astype(np.int64), m2 - 3)
         idx, v = np.empty_like(base), np.empty((k, base.size))

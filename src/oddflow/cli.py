@@ -55,6 +55,7 @@ from .viscosity import (
     make_law,
     parse_law_spec,
     strain_odd,
+    strain_sym,
 )
 
 
@@ -440,7 +441,6 @@ def _check_pointwise(seed):
     worst = 0.0
     for k in range(10):
         u = random_divfree_field(grid, seed + k, cutoff=8)
-        from .viscosity import strain_sym  # local: only used for the scale
         s = strain_sym(u)
         scale = max(np.max(np.abs(c)) for c in (s.t11, s.t12, s.t22)) ** 2
         worst = max(worst, check_pointwise_cancellation(u) / max(scale, 1e-300))
@@ -550,7 +550,7 @@ def _check_steady_shear(seed):
     return max(_steady_shear_defects()), 1e-11
 
 
-def _check_fielddump(seed, tmpdir="."):
+def _check_fielddump(seed):
     import tempfile
     grid = Grid2D(16, 12, 1.0, 0.75)
     rng = np.random.default_rng(seed)

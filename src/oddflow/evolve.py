@@ -92,10 +92,13 @@ class InitialData:
 
 @dataclass(frozen=True)
 class SimulationState:
+    """`pressure` is a diagnostic: `run` recovers it for the states it
+    keeps, and leaves it None on the others."""
+
     t: float
     rho: ScalarField
     u: VectorField
-    pressure: ScalarField
+    pressure: Optional[ScalarField] = None
 
 
 @dataclass
@@ -294,23 +297,26 @@ def _etd_weights(z):
     return em1 + 1.0, phi1, phi2
 
 
-def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
-         dt: float, with_pressure: bool, warm: dict) -> SimulationState:
-    """One time step: density transport, projected ETDRK2 on the velocity
-    with Galerkin mode truncation, diagnostic pressure recovery.
+def _warm_start(history):
+    """CG start from the earlier solutions in `history` (the last two at
+    most, newest last): none, the last one, or the extrapolation of both."""
+    if not history:
+        return None
+    return history[-1] if len(history) == 1 else 2.0 * history[-1] - history[-2]
 
-    `warm` is a mutable dict reused across steps to warm-start the three
-    CG solves by linear extrapolation of the previous solutions, all held
-    as rfft2 coefficients.
+
+def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
+         dt: float, warm: dict):
+    """One time step: density transport, projected ETDRK2 on the velocity
+    with Galerkin mode truncation.
+
+    Returns the new density, the new velocity stack (2, n1, n2) and its
+    rfft2 coefficients.  `warm` is a mutable dict reused across steps that
+    holds the earlier solutions of the two projection solves ("q1", "q2",
+    as rfft2 coefficients), their warm starts.
     """
     grid = config.grid
     cutoff = config.cutoff
-
-    def guess(key):
-        cur, old = warm.get(key), warm.get(key + "_old")
-        if cur is None:
-            return None
-        return cur if old is None else 2.0 * cur - old
 
     f_now = force(state.t) if force else None
     f_next = force(state.t + dt) if force else None
@@ -318,11 +324,12 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     rho_new = advect_scalar(state.rho, state.u, dt)
     rho0 = state.rho.values
     rho1 = rho_new.values
+    q1s, q2s = warm.setdefault("q1", []), warm.setdefault("q2", [])
 
     u = np.stack((state.u.comp1, state.u.comp2))
     uhat = _rfft(u)
     g = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
-    k, q1 = _project_tendency(grid, rho0, g, p0=guess("q1"))
+    k, q1 = _project_tendency(grid, rho0, g, p0=_warm_start(q1s))
     # the stiff part is -lam * uhat, lam = nu_s |k|^2; n0 is the rest of
     # the projected stage-1 tendency; the mode cutoff is folded into the
     # weights
@@ -338,83 +345,76 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     u = _irfft(grid, uhat)
     del g, k, decay, w1  # not needed in stage 2, whose right side is the peak
     g = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
-    k, q2 = _project_tendency(grid, rho1, g, p0=guess("q2"))
+    k, q2 = _project_tendency(grid, rho1, g, p0=_warm_start(q2s))
     uhat += w2 * (_rfft(k) + lam * uhat - n0)
     del g, k, n0
-    u = _irfft(grid, uhat)
-    u_new = VectorField(grid, *u)
-    warm["q1_old"], warm["q2_old"] = warm.get("q1"), warm.get("q2")
-    warm["q1"], warm["q2"] = q1, q2
-    if with_pressure:
-        phat = recover_pressure(
-            grid, config.law, rho1, u, uhat, f_next, cutoff, p0=guess("pr")
-        )
-        warm["pr_old"] = warm.get("pr")
-        warm["pr"] = phat
-        p = _irfft(grid, phat)
-    else:
-        p = np.zeros((grid.n1, grid.n2))
-    return SimulationState(state.t + dt, rho_new, u_new, ScalarField(grid, p))
+    q1s[:], q2s[:] = q1s[-1:] + [q1], q2s[-1:] + [q2]
+    return rho_new, _irfft(grid, uhat), uhat
 
 
 def _kinetic(grid, rho, u):
-    return float(np.sum(rho * (u.comp1**2 + u.comp2**2)) * grid.cell_area)
+    return float(np.sum(rho * (u[0]**2 + u[1]**2)) * grid.cell_area)
 
 
-def _dissipation_rate(grid, law, rho, u):
-    me = law.mu_e(rho)
-    s = strain_sym(u)
-    mag = s.t11**2 + s.t12**2 + s.t21**2 + s.t22**2
-    return float(np.sum(me * mag) * grid.cell_area)
+def _dissipation_rate(grid, law, rho, uhat):
+    """int mu_e(rho) |sym strain|^2 dx of the velocity with rfft2
+    coefficients `uhat` (the entries of `strain_sym`)."""
+    d1u1, d2u1, d1u2, d2u2 = _gradient_planes(grid, uhat)
+    off = d2u1 + d1u2
+    mag = (2.0 * d1u1)**2 + off**2 + off**2 + (2.0 * d2u2)**2
+    return float(np.sum(law.mu_e(rho) * mag) * grid.cell_area)
 
 
 def _work_rate(grid, rho, u, f):
     if f is None:
         return 0.0
-    return 2.0 * float(np.sum(rho * (u.comp1 * f.comp1 + u.comp2 * f.comp2)) * grid.cell_area)
+    return 2.0 * float(np.sum(rho * (u[0] * f.comp1 + u[1] * f.comp2)) * grid.cell_area)
 
 
 def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     """Integrate to t_end.  Returns (states, ledger).
 
     store_every=k keeps every k-th state (k=0: first and last only); the
-    ledger is appended at the initial state and after every step
-    regardless.  A state that turns non-finite (an overflow) raises
-    BlowUpError naming the step and the time of the last finite state;
-    step 0 is the set-up before the loop.  So does a CFL step below
+    pressure is recovered for the kept states alone, from the coefficients
+    the step made.  The ledger is appended at the initial state and after
+    every step regardless.  A state that turns non-finite (an overflow)
+    raises BlowUpError naming the step and the time of the last finite
+    state; step 0 is the set-up before the loop.  So does a CFL step below
     _DT_FLOOR of config.dt, which a growing state reaches long before it
     overflows.
     """
     k, state = 0, None
     try:
         data.validate(config.bounds)
-        grid = config.grid
-        force = data.force
-        f0 = force(0.0) if force else None
-        u0 = np.stack((data.u0.comp1, data.u0.comp2))
-        state = SimulationState(
-            0.0, data.rho0, data.u0,
-            ScalarField(grid, _irfft(grid, recover_pressure(
-                grid, config.law, data.rho0.values, u0, _rfft(u0), f0,
-                config.cutoff))),
-        )
+        grid, law, force = config.grid, config.law, data.force
         ledger = EnergyLedger()
 
-        def record(st, dissipation, work):
-            rho = st.rho.values
-            ledger.times.append(st.t)
-            ledger.kinetic.append(_kinetic(grid, rho, st.u))
+        def kept(st, u, uhat, f, pressures):
+            # the CG starts from the earlier `pressures`, which this extends
+            phat = recover_pressure(grid, law, st.rho.values, u, uhat, f, config.cutoff,
+                                    p0=_warm_start(pressures))
+            pressures[:] = pressures[-1:] + [phat]
+            return replace(st, pressure=ScalarField(grid, _irfft(grid, phat)))
+
+        def record(t, rho, u, dissipation, work):
+            ledger.times.append(t)
+            ledger.kinetic.append(_kinetic(grid, rho, u))
             ledger.dissipation.append(dissipation)
             ledger.work.append(work)
             ledger.rho_min.append(float(rho.min()))
             ledger.rho_max.append(float(rho.max()))
             ledger.mass.append(float(np.sum(rho) * grid.cell_area))
 
-        record(state, 0.0, 0.0)
-        states = [state]
-        d_prev = _dissipation_rate(grid, config.law, state.rho.values, state.u)
-        w_prev = _work_rate(grid, state.rho.values, state.u, f0)
-        warm = {}
+        f = force(0.0) if force else None
+        u = np.stack((data.u0.comp1, data.u0.comp2))
+        uhat = _rfft(u)
+        # the set-up pressure starts cold and warm-starts no output
+        state = kept(SimulationState(0.0, data.rho0, data.u0), u, uhat, f, [])
+        rho = data.rho0.values
+        record(0.0, rho, u, 0.0, 0.0)
+        d_prev, w_prev = _dissipation_rate(grid, law, rho, uhat), _work_rate(grid, rho, u, f)
+        del uhat  # never held across a step: at 256^2 a coefficient pair is 1 MiB
+        states, warm, pressures = [state], {}, []
         while state.t < config.t_end - 1e-14:
             dt = stable_dt(config, state.u)
             limit = "config" if dt == config.dt else "cfl"
@@ -427,18 +427,18 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
                 dt, limit = config.t_end - state.t, "t_end"
             ledger.dt.append(dt)
             ledger.limit.append(limit)
-            is_output = (store_every and k % store_every == 0) or (
-                state.t + dt >= config.t_end - 1e-14
-            )
-            state = step(state, config, force, dt=dt, with_pressure=is_output, warm=warm)
-            f_t = force(state.t) if force else None
-            d_now = _dissipation_rate(grid, config.law, state.rho.values, state.u)
-            w_now = _work_rate(grid, state.rho.values, state.u, f_t)
-            record(state, ledger.dissipation[-1] + 0.5 * dt * (d_prev + d_now),
+            rho_new, u, uhat = step(state, config, force, dt, warm)
+            new = SimulationState(state.t + dt, rho_new, VectorField(grid, *u))
+            f = force(new.t) if force else None
+            if (store_every and k % store_every == 0) or new.t >= config.t_end - 1e-14:
+                new = kept(new, u, uhat, f, pressures)
+                states.append(new)
+            state, rho = new, rho_new.values
+            d_now, w_now = _dissipation_rate(grid, law, rho, uhat), _work_rate(grid, rho, u, f)
+            del uhat
+            record(state.t, rho, u, ledger.dissipation[-1] + 0.5 * dt * (d_prev + d_now),
                    ledger.work[-1] + 0.5 * dt * (w_prev + w_now))
             d_prev, w_prev = d_now, w_now
-            if is_output:
-                states.append(state)
     except NonFiniteError as e:
         t = 0.0 if state is None else state.t
         raise BlowUpError(f"state turned non-finite in step {k} (t = {t:.6g}): {e}") from e

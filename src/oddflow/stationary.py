@@ -283,66 +283,30 @@ def clamped_embedding(domain: RectDomain, bdry: BoundaryData):
     """Affine map interior values -> extended grid honoring the clamped BC.
 
     Returns (E, e) with phi_ext = E phi_int + e: boundary nodes carry
-    phi0, ghost nodes are mirror images shifted by 2 h phi1 (outward
-    normal derivative), corner ghosts combine both reflections.
+    phi0, ghost nodes are mirror images (`_clamped_extend`) shifted by
+    2 h phi1 (outward normal derivative), corner ghosts by the shifts of
+    both their sides.
     """
     nx, ny, h = domain.nx, domain.ny, domain.h
-    n_ext = (nx + 4) * (ny + 4)
-
-    def ext_idx(i, j):                      # i, j are positions -1..n+2
-        return (i + 1) * (ny + 4) + (j + 1)
-
-    def int_idx(i, j):                      # i in 1..nx, j in 1..ny
-        return (i - 1) * ny + (j - 1)
-
-    e = np.zeros(n_ext)
-    rows, cols, vals = [], [], []
-
-    def add(r, i, j, w):
-        """Accumulate w * phi(i, j) (mid-grid node) into extended row r."""
-        if 1 <= i <= nx and 1 <= j <= ny:
-            rows.append(r)
-            cols.append(int_idx(i, j))
-            vals.append(w)
-        else:
-            e[r] += w * bdry.phi0[i, j]
-
-    for i in range(1, nx + 1):
-        for j in range(1, ny + 1):
-            add(ext_idx(i, j), i, j, 1.0)
-    for i in range(nx + 2):                 # boundary ring
-        e[ext_idx(i, 0)] = bdry.phi0[i, 0]
-        e[ext_idx(i, ny + 1)] = bdry.phi0[i, ny + 1]
-    for j in range(ny + 2):
-        e[ext_idx(0, j)] = bdry.phi0[0, j]
-        e[ext_idx(nx + 1, j)] = bdry.phi0[nx + 1, j]
-    for j in range(ny + 2):                 # side ghosts: mirror + 2h phi1
-        r = ext_idx(-1, j)
-        add(r, 1, j, 1.0)
-        e[r] += 2.0 * h * bdry.phi1_left[j]
-        r = ext_idx(nx + 2, j)
-        add(r, nx, j, 1.0)
-        e[r] += 2.0 * h * bdry.phi1_right[j]
-    for i in range(nx + 2):
-        r = ext_idx(i, -1)
-        add(r, i, 1, 1.0)
-        e[r] += 2.0 * h * bdry.phi1_bottom[i]
-        r = ext_idx(i, ny + 2)
-        add(r, i, 1 + ny - 1, 1.0)
-        e[r] += 2.0 * h * bdry.phi1_top[i]
-    corners = [
-        (-1, -1, 1, 1, bdry.phi1_left[0], bdry.phi1_bottom[0]),
-        (nx + 2, -1, nx, 1, bdry.phi1_right[0], bdry.phi1_bottom[nx + 1]),
-        (-1, ny + 2, 1, ny, bdry.phi1_left[ny + 1], bdry.phi1_top[0]),
-        (nx + 2, ny + 2, nx, ny, bdry.phi1_right[ny + 1], bdry.phi1_top[nx + 1]),
-    ]
-    for gi, gj, mi, mj, p1a, p1b in corners:
-        r = ext_idx(gi, gj)
-        add(r, mi, mj, 1.0)
-        e[r] += 2.0 * h * (p1a + p1b)
-
-    emat = sp.csr_matrix((vals, (rows, cols)), shape=(n_ext, nx * ny))
-    return emat, e
+    # E: the mirrored interior index of each extended node, -1 off it
+    idx = np.full((nx + 2, ny + 2), -1.0)
+    idx[1:-1, 1:-1] = np.arange(nx * ny).reshape(nx, ny)
+    col = _clamped_extend(domain, idx).ravel().astype(np.int64)
+    rows = np.flatnonzero(col >= 0)
+    emat = sp.csr_matrix((np.ones(rows.size), (rows, col[rows])), shape=(col.size, nx * ny))
+    ring = np.array(bdry.phi0, dtype=float)
+    ring[1:-1, 1:-1] = 0.0
+    e = _clamped_extend(domain, ring)
+    s = 2.0 * h
+    e[0, 1:-1] += s * bdry.phi1_left
+    e[-1, 1:-1] += s * bdry.phi1_right
+    e[1:-1, 0] += s * bdry.phi1_bottom
+    e[1:-1, -1] += s * bdry.phi1_top
+    e[0, 0] += s * (bdry.phi1_left[0] + bdry.phi1_bottom[0])
+    e[-1, 0] += s * (bdry.phi1_right[0] + bdry.phi1_bottom[-1])
+    e[0, -1] += s * (bdry.phi1_left[-1] + bdry.phi1_top[0])
+    e[-1, -1] += s * (bdry.phi1_right[-1] + bdry.phi1_top[-1])
+    return emat, e.ravel()
 
 
 # ------------------------------------------------------------ ellipticity

@@ -262,9 +262,11 @@ def _fd_deriv_matrix(n):
     return d
 
 
+_RADIAL_ITERATIONS = 60  # iterations per level (per continuation stage in the rescue)
+
+
 def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
-                             mu_o_values=(1.0, 2.0), nu_o_inverse=None,
-                             mu_e=0.0, iterations=60):
+                             mu_o_values=(1.0, 2.0), mu_e=0.0):
     """Refinement study of the radial equation with jump odd viscosity.
 
     With mu_e = 0 the profile equation rho h^2 - 2 d(mu_o h) + 2 mu_o dh
@@ -282,17 +284,17 @@ def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
     solution branch develops large kinks at the coefficient jumps as
     mu_e shrinks) converges to a genuine discrete solution -- the
     contrast run supporting the regularizing role of shear viscosity.
+
+    The density is the pullback of mu_o under nu_o(rho) = rho, so rho = mu_o.
     """
-    if nu_o_inverse is None:
-        nu_o_inverse = lambda m: m        # nu_o(rho) = rho pullback
     lo, hi = mu_o_values
     report = []
     for n in levels:
         theta = 2.0 * np.pi * np.arange(n) / n
         mo = np.where(theta < np.pi, lo, hi)
-        rho = np.where(theta < np.pi, nu_o_inverse(lo), nu_o_inverse(hi))
+        rho = mo
         if mu_e > 0.0:
-            report.append(_radial_jump_rescue(C, n, mo, rho, mu_e, iterations))
+            report.append(_radial_jump_rescue(C, n, mo, rho, mu_e))
             continue
         d = _fd_deriv_matrix(n)
         pin = np.sqrt(max(C, 1e-3) / float(np.mean(rho)))
@@ -304,7 +306,7 @@ def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
         free = np.arange(n) != n // 2
         best = np.inf
         best_h = h
-        for it in range(iterations):
+        for it in range(_RADIAL_ITERATIONS):
             g = (
                 rho * h * h
                 - 2.0 * (d @ (mo * h)) + 2.0 * mo * (d @ h) - C
@@ -329,7 +331,7 @@ def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
     return report
 
 
-def _radial_jump_rescue(C, n, mo_center, rho, mu_e_target, iterations):
+def _radial_jump_rescue(C, n, mo_center, rho, mu_e_target):
     """Newton solve of the full radial profile equation with jump odd
     viscosity and positive shear viscosity.
 
@@ -363,7 +365,7 @@ def _radial_jump_rescue(C, n, mo_center, rho, mu_e_target, iterations):
     res = np.inf
     for mu_e in ladder:
         lin = residual(np.eye(n), mu_e)     # linear part, columnwise
-        for _ in range(iterations):
+        for _ in range(_RADIAL_ITERATIONS):
             g = residual(h, mu_e)
             res = float(np.linalg.norm(g) / np.sqrt(n))
             if res <= 1e-12:

@@ -31,7 +31,7 @@ from oddflow.fields import (
     random_divfree_field,
     random_scalar_field,
 )
-from oddflow.viscosity import DensityBounds, make_law
+from oddflow.viscosity import DensityBounds, make_law, strain_sym
 
 
 def taylor_green(grid, amp=1.0):
@@ -265,6 +265,27 @@ def test_ledger_records_density_of_every_step():
         assert ledger.rho_min[k] == rho.min()
         assert ledger.rho_max[k] == rho.max()
         assert ledger.mass[k] == np.sum(rho) * g.cell_area
+
+
+def test_ledger_dissipation_is_the_trapezoid_of_the_stored_states():
+    # run takes each rate from the coefficients its step made; recomputed
+    # from the stored velocity, the rates agree to rounding, while the
+    # coefficients of a stage or of the step before differ by O(dt)
+    g = Grid2D(32, 32)
+    data = InitialData(perturbed_density(g, seed=30),
+                       random_divfree_field(g, seed=31, cutoff=4))
+    cfg = make_config(g, 2e-3, 0.02, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+    states, ledger = run(cfg, data, store_every=1)
+    assert [st.t for st in states] == ledger.times and len(states) > 5
+    rates = []
+    for st in states:
+        s = strain_sym(st.u)
+        mag = s.t11**2 + s.t12**2 + s.t21**2 + s.t22**2
+        rates.append(float(np.sum(cfg.law.mu_e(st.rho.values) * mag) * g.cell_area))
+    for k in range(1, len(states)):
+        want = 0.5 * ledger.dt[k - 1] * (rates[k - 1] + rates[k])
+        got = ledger.dissipation[k] - ledger.dissipation[k - 1]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_runs_are_byte_stable():

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,7 @@ def test_kernel_parity_compiled_vs_numpy(built_package):
 
 
 @needs_cc
+@pytest.mark.filterwarnings("error")  # neither kernel may warn on a non-finite point
 def test_compiled_kernel_checks_its_arguments(built_package):
     compiled = _built_kernel(built_package)
     g = Grid2D(32, 48, 5.0, 7.0)
@@ -126,8 +128,7 @@ def test_compiled_kernel_checks_its_arguments(built_package):
     for clamp in (True, False):
         a = np.empty((2, p1.size))
         compiled.bicubic_periodic(vals, p1, p2, g.h1, g.h2, clamp, a)
-        with np.errstate(invalid="ignore"):
-            b = _semilag_np.bicubic_periodic(vals, p1, p2, g.h1, g.h2, clamp)
+        b = _semilag_np.bicubic_periodic(vals, p1, p2, g.h1, g.h2, clamp)
         assert np.all(np.isnan(a[:, :6])) and np.all(np.isnan(b[:, :6]))
         assert np.array_equal(a[:, 6], b[:, 6])
     # a point too far out for an integer index still finds its node by period
@@ -202,6 +203,21 @@ def test_numpy_kernel_is_bit_identical_to_the_loop():
             one = _semilag_np.bicubic_periodic(stack[k], x1, x2, g.h1, g.h2, clamp)
             assert np.array_equal(one, want)
             assert np.array_equal(both[k], want)
+
+
+def test_numpy_kernel_far_and_non_finite_points():
+    # like the compiled kernel: a point too far out for an integer index is
+    # reduced by period (h2 = 1/8 makes it an exact whole number of periods),
+    # and a non-finite point gives NaN without an invalid cast or subtraction
+    vals = np.random.default_rng(13).standard_normal((2, 32, 48))
+    p1 = np.array([2.0, 2.0, np.nan, np.inf, -np.inf, 1.0, 1.0, 1.0])
+    p2 = np.array([2.0**70 * 48 / 8, 0.0, 2.0, 2.0, 2.0, np.nan, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for clamp in (True, False):
+            out = _semilag_np.bicubic_periodic(vals, p1, p2, 0.25, 1 / 8, clamp)
+            assert np.array_equal(out[:, 0], out[:, 1])
+            assert np.all(np.isfinite(out[:, :2])) and np.all(np.isnan(out[:, 2:]))
 
 
 def test_interp_stack_keeps_point_shape():

@@ -213,6 +213,85 @@ def test_clamped_embedding_ghost_convention():
     assert np.allclose(ext[0, 1:-1], ext[2, 1:-1] + 2.0 * dom.h * 2.0)
 
 
+def _clamped_embedding_loop(domain, bdry):
+    """`clamped_embedding` written node by node, its oracle.
+
+    Returns (E, e) with phi_ext = E phi_int + e: boundary nodes carry
+    phi0, ghost nodes are mirror images shifted by 2 h phi1 (outward
+    normal derivative), corner ghosts combine both reflections.
+    """
+    nx, ny, h = domain.nx, domain.ny, domain.h
+    n_ext = (nx + 4) * (ny + 4)
+
+    def ext_idx(i, j):                      # i, j are positions -1..n+2
+        return (i + 1) * (ny + 4) + (j + 1)
+
+    def int_idx(i, j):                      # i in 1..nx, j in 1..ny
+        return (i - 1) * ny + (j - 1)
+
+    e = np.zeros(n_ext)
+    rows, cols, vals = [], [], []
+
+    def add(r, i, j, w):
+        """Accumulate w * phi(i, j) (mid-grid node) into extended row r."""
+        if 1 <= i <= nx and 1 <= j <= ny:
+            rows.append(r)
+            cols.append(int_idx(i, j))
+            vals.append(w)
+        else:
+            e[r] += w * bdry.phi0[i, j]
+
+    for i in range(1, nx + 1):
+        for j in range(1, ny + 1):
+            add(ext_idx(i, j), i, j, 1.0)
+    for i in range(nx + 2):                 # boundary ring
+        e[ext_idx(i, 0)] = bdry.phi0[i, 0]
+        e[ext_idx(i, ny + 1)] = bdry.phi0[i, ny + 1]
+    for j in range(ny + 2):
+        e[ext_idx(0, j)] = bdry.phi0[0, j]
+        e[ext_idx(nx + 1, j)] = bdry.phi0[nx + 1, j]
+    for j in range(ny + 2):                 # side ghosts: mirror + 2h phi1
+        r = ext_idx(-1, j)
+        add(r, 1, j, 1.0)
+        e[r] += 2.0 * h * bdry.phi1_left[j]
+        r = ext_idx(nx + 2, j)
+        add(r, nx, j, 1.0)
+        e[r] += 2.0 * h * bdry.phi1_right[j]
+    for i in range(nx + 2):
+        r = ext_idx(i, -1)
+        add(r, i, 1, 1.0)
+        e[r] += 2.0 * h * bdry.phi1_bottom[i]
+        r = ext_idx(i, ny + 2)
+        add(r, i, 1 + ny - 1, 1.0)
+        e[r] += 2.0 * h * bdry.phi1_top[i]
+    corners = [
+        (-1, -1, 1, 1, bdry.phi1_left[0], bdry.phi1_bottom[0]),
+        (nx + 2, -1, nx, 1, bdry.phi1_right[0], bdry.phi1_bottom[nx + 1]),
+        (-1, ny + 2, 1, ny, bdry.phi1_left[ny + 1], bdry.phi1_top[0]),
+        (nx + 2, ny + 2, nx, ny, bdry.phi1_right[ny + 1], bdry.phi1_top[nx + 1]),
+    ]
+    for gi, gj, mi, mj, p1a, p1b in corners:
+        r = ext_idx(gi, gj)
+        add(r, mi, mj, 1.0)
+        e[r] += 2.0 * h * (p1a + p1b)
+
+    emat = sp.csr_matrix((vals, (rows, cols)), shape=(n_ext, nx * ny))
+    return emat, e
+
+
+def test_clamped_embedding_equals_the_loop():
+    rng = np.random.default_rng(8)
+    for nx, ny in ((8, 8), (15, 31), (63, 63)):
+        dom = RectDomain(nx, ny, 1.0, (ny + 1) / (nx + 1))
+        bd = BoundaryData(rng.standard_normal((nx + 2, ny + 2)),
+                          rng.standard_normal(ny + 2), rng.standard_normal(ny + 2),
+                          rng.standard_normal(nx + 2), rng.standard_normal(nx + 2))
+        emb, shift = clamped_embedding(dom, bd)
+        want_emb, want_shift = _clamped_embedding_loop(dom, bd)
+        assert np.array_equal(emb.toarray(), want_emb.toarray())
+        assert np.array_equal(shift, want_shift)
+
+
 # ------------------------------------------------------------------ solver
 
 def test_picard_zero_problem_converges_immediately():
