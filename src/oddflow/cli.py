@@ -149,7 +149,6 @@ _EVOLVE_SCHEMA = {
     "amplitude": (float, 1.0),
     "density_cutoff": (int, 3),
     "velocity_cutoff": (int, 4),
-    "store_every": (int, 0),
 }
 
 
@@ -193,7 +192,7 @@ def cmd_evolve(args):
     bounds, law = _bounds_and_law(cfg)
     config = EvolveConfig(grid, cfg["dt"], cfg["t_end"], law, bounds)
     data = _initial_data(cfg, grid, bounds, args.seed)
-    states, ledger = run(config, data, store_every=cfg["store_every"])
+    states, ledger = run(config, data)
     final = states[-1]
     fio.write_field(os.path.join(out, "density.odf"), final.rho, time=final.t)
     fio.write_field(os.path.join(out, "velocity.odf"), final.u, time=final.t)

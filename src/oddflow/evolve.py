@@ -112,7 +112,10 @@ class EnergyLedger:
     at times[k], for the bound and mass checks.  dt[k] is the length of
     step k + 1 (from times[k] to times[k + 1]) and limit[k] what set it:
     "config" (config.dt), "cfl" (the advective CFL step) or "t_end" (the
-    step was clipped to land on t_end).
+    step was clipped to land on t_end).  cg_iterations[k] and
+    cg_residual[k] are the CG iteration counts and final relative
+    residuals of step k + 1's two projection solves, as (stage 1, stage 2)
+    pairs.
     """
 
     times: list = field(default_factory=list)
@@ -124,6 +127,8 @@ class EnergyLedger:
     mass: list = field(default_factory=list)
     dt: list = field(default_factory=list)
     limit: list = field(default_factory=list)
+    cg_iterations: list = field(default_factory=list)
+    cg_residual: list = field(default_factory=list)
 
     def balance_defect(self, k=-1):
         return (
@@ -186,26 +191,43 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     coefficients: `source`, the warm start `p0` and the returned mean-zero
     `p` are all rfft2 coefficient arrays.
 
-    The operator is symmetric negative definite on mean-zero fields; the
-    preconditioner is the constant-coefficient spectral inverse with the
-    mean inverse-density coefficient, a diagonal on the coefficients.
-    Inner products are the physical ones by Parseval.
+    Returns (p, iterations, residual): the CG iterations taken (0 when the
+    warm start already meets `tol`) and the final relative residual
+    ||source - div((1/rho) grad p)|| / ||source|| that the stopping test
+    read.  Inner products are the physical ones by Parseval.
+
+    The operator A = -div((1/rho) grad) is symmetric positive definite on
+    mean-zero fields.  The preconditioner is the reciprocal-density
+    operator L^-1 (-div(rho grad)) L^-1, with L^-1 the inverse Laplacian:
+    in the plane -div(rho^-1 grad) and -div(rho grad) are dual (Keller's
+    reciprocity for 2-d conductivity, J. Math. Phys. 5, 1964), so it comes
+    close to inverting A, and at constant rho it is the diagonal rho/|k|^2,
+    A's exact inverse.  That case takes the diagonal and no transforms.
     """
     inv_rho = 1.0 / rho
-    coeff = float(np.mean(inv_rho))
     k1, k2 = _rfft_wavenumbers(grid)
     # the preconditioner must use the operator's own (Nyquist-zeroed)
     # symbol, or the near-null Nyquist-line modes stall the iteration;
     # the four modes where that symbol vanishes are dropped
     ksq = k1 * k1 + k2 * k2
     null = ksq == 0.0
-    inv_m = np.where(null, 0.0, 1.0 / (coeff * np.where(null, 1.0, ksq)))
+    inv_l = np.where(null, 0.0, 1.0 / np.where(null, 1.0, ksq))
 
-    def apply_a(phat):
-        # -div((1/rho) grad p): symmetric positive definite on mean zero
+    def apply_a(phat, w):
+        # -div(w grad p): symmetric positive definite on mean zero for w > 0;
+        # A is w = 1/rho, the preconditioner's middle factor w = rho
         g = _irfft(grid, _grad_hat(grid, phat))
-        g *= inv_rho
+        g *= w
         return -_div_hat(grid, _rfft(g))
+
+    if np.ptp(rho) == 0:
+        inv_m = rho.flat[0] * inv_l
+
+        def precondition(r):
+            return inv_m * r
+    else:
+        def precondition(r):
+            return inv_l * apply_a(inv_l * r, rho)
 
     def norm(a):
         return np.sqrt(_rfft_inner(grid, a, a))
@@ -216,27 +238,29 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     if not np.isfinite(bnorm):
         raise NonFiniteError("pressure source contains non-finite values")
     if bnorm == 0.0:
-        return np.zeros_like(b)
+        return np.zeros_like(b), 0, 0.0
     if p0 is None:
         p = np.zeros_like(b)
         r = b.copy()
     else:
         p = p0.copy()
         p[null] = 0.0
-        r = b - apply_a(p)
-        if norm(r) <= tol * bnorm:
-            return p
-    z = inv_m * r
+        r = b - apply_a(p, inv_rho)
+        rnorm = norm(r)
+        if rnorm <= tol * bnorm:
+            return p, 0, rnorm / bnorm
+    z = precondition(r)
     d = z.copy()
     rz = _rfft_inner(grid, r, z)
-    for _ in range(max_iter):
-        ad = apply_a(d)
+    for it in range(1, max_iter + 1):
+        ad = apply_a(d, inv_rho)
         alpha = rz / _rfft_inner(grid, d, ad)
         p += alpha * d
         r -= alpha * ad
-        if norm(r) <= tol * bnorm:
-            return p
-        z = inv_m * r
+        rnorm = norm(r)
+        if rnorm <= tol * bnorm:
+            return p, it, rnorm / bnorm
+        z = precondition(r)
         rz_new = _rfft_inner(grid, r, z)
         d = z + (rz_new / rz) * d
         rz = rz_new
@@ -247,9 +271,10 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
 
 def _project_tendency(grid, rho, g, p0=None):
     """Remove the (1/rho) grad q part of a (2, n1, n2) tendency so it is
-    divergence-free.  Returns the projected stack and q's coefficients."""
-    qhat = solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)
-    return g - _irfft(grid, _grad_hat(grid, qhat)) / rho, qhat
+    divergence-free.  Returns the projected stack, q's coefficients and
+    the solve's (iterations, residual)."""
+    qhat, iterations, residual = solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)
+    return g - _irfft(grid, _grad_hat(grid, qhat)) / rho, qhat, (iterations, residual)
 
 
 def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u, uhat, f,
@@ -258,7 +283,7 @@ def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u, uhat, f,
     instantaneous state; `u` is the velocity stack and `uhat` its rfft2
     coefficients."""
     g = _advective_rhs(grid, law, rho, u, uhat, f, cutoff)
-    return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)
+    return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)[0]
 
 
 _CFL = 0.5  # advective Courant number of the adaptive step
@@ -310,10 +335,12 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     """One time step: density transport, projected ETDRK2 on the velocity
     with Galerkin mode truncation.
 
-    Returns the new density, the new velocity stack (2, n1, n2) and its
-    rfft2 coefficients.  `warm` is a mutable dict reused across steps that
-    holds the earlier solutions of the two projection solves ("q1", "q2",
-    as rfft2 coefficients), their warm starts.
+    Returns the new density, the new velocity stack (2, n1, n2), its
+    rfft2 coefficients and the two projection solves' CG statistics as
+    ((iterations 1, iterations 2), (residual 1, residual 2)).  `warm` is a
+    mutable dict reused across steps that holds the earlier solutions of
+    the two projection solves ("q1", "q2", as rfft2 coefficients), their
+    warm starts.
     """
     grid = config.grid
     cutoff = config.cutoff
@@ -329,7 +356,7 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     u = np.stack((state.u.comp1, state.u.comp2))
     uhat = _rfft(u)
     g = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
-    k, q1 = _project_tendency(grid, rho0, g, p0=_warm_start(q1s))
+    k, q1, cg1 = _project_tendency(grid, rho0, g, p0=_warm_start(q1s))
     # the stiff part is -lam * uhat, lam = nu_s |k|^2; n0 is the rest of
     # the projected stage-1 tendency; the mode cutoff is folded into the
     # weights
@@ -345,11 +372,11 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     u = _irfft(grid, uhat)
     del g, k, decay, w1  # not needed in stage 2, whose right side is the peak
     g = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
-    k, q2 = _project_tendency(grid, rho1, g, p0=_warm_start(q2s))
+    k, q2, cg2 = _project_tendency(grid, rho1, g, p0=_warm_start(q2s))
     uhat += w2 * (_rfft(k) + lam * uhat - n0)
     del g, k, n0
     q1s[:], q2s[:] = q1s[-1:] + [q1], q2s[-1:] + [q2]
-    return rho_new, _irfft(grid, uhat), uhat
+    return rho_new, _irfft(grid, uhat), uhat, tuple(zip(cg1, cg2))
 
 
 def _kinetic(grid, rho, u):
@@ -427,7 +454,9 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
                 dt, limit = config.t_end - state.t, "t_end"
             ledger.dt.append(dt)
             ledger.limit.append(limit)
-            rho_new, u, uhat = step(state, config, force, dt, warm)
+            rho_new, u, uhat, (iterations, residuals) = step(state, config, force, dt, warm)
+            ledger.cg_iterations.append(iterations)
+            ledger.cg_residual.append(residuals)
             new = SimulationState(state.t + dt, rho_new, VectorField(grid, *u))
             f = force(new.t) if force else None
             if (store_every and k % store_every == 0) or new.t >= config.t_end - 1e-14:

@@ -134,11 +134,15 @@ def test_evolve_command_and_determinism(tmp_path):
     assert header == "t,kinetic,dissipation,work,balance_defect"
 
 
-def test_evolve_rejects_bad_config(tmp_path):
+def test_evolve_rejects_bad_config(tmp_path, capsys):
     cfg = _write(tmp_path / "bad.cfg", "n = 16\ndt = 5e-3\nt_end = 0.05\nwhat = 1\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
     cfg = _write(tmp_path / "neg.cfg", "n = 16\ndt = -1e-3\nt_end = 0.05\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    # the command writes the final state alone, so it keeps no others
+    cfg = _write(tmp_path / "store.cfg", "n = 16\ndt = 5e-3\nt_end = 0.05\nstore_every = 1\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "unknown config key(s): store_every" in capsys.readouterr().err
 
 
 

@@ -220,7 +220,10 @@ def pressure_problem(seed):
 def test_spectral_cg_constant_density_matches_inv_laplacian():
     g, _, src = pressure_problem(20)
     rho = np.full((g.n1, g.n2), 1.3)
-    p = _irfft(g, solve_pressure(g, rho, _rfft(src), tol=1e-12))
+    phat, iterations, _ = solve_pressure(g, rho, _rfft(src), tol=1e-12)
+    # at constant density the preconditioner is the operator's inverse
+    assert iterations == 1
+    p = _irfft(g, phat)
     # div((1/rho) grad p) = src with rho constant: p = rho * lap^-1 src;
     # the two Laplacian symbols differ only on the Nyquist modes
     want = 1.3 * inv_laplacian(ScalarField(g, src)).values
@@ -228,13 +231,25 @@ def test_spectral_cg_constant_density_matches_inv_laplacian():
 
 
 def test_spectral_cg_physical_residual_meets_tol():
-    g, rho, src = pressure_problem(22)
+    # a smooth density on 32^2, and a discontinuous one on 64^2: rho = 1.5
+    # on a centred square, 0.5 outside, which the reciprocal-density
+    # preconditioner takes in 9 cold iterations and the constant-coefficient
+    # diagonal in 17
+    smooth = pressure_problem(22)
+    g = Grid2D(64, 64)
+    x1, x2 = g.coords()
+    inside = (np.abs(x1 - np.pi) < np.pi / 2) & (np.abs(x2 - np.pi) < np.pi / 2)
+    step = g, np.where(inside, 1.5, 0.5), random_scalar_field(g, seed=23, cutoff=20).values
     tol = 1e-10
-    p = ScalarField(g, _irfft(g, solve_pressure(g, rho, _rfft(src), tol=tol)))
-    gp = grad(p)
-    lhs = divergence(VectorField(g, gp.comp1 / rho, gp.comp2 / rho)).values
-    b = src - np.mean(src)
-    assert np.sqrt(np.sum((lhs - b) ** 2)) <= tol * np.sqrt(np.sum(b * b))
+    for g, rho, src in (smooth, step):
+        phat, iterations, residual = solve_pressure(g, rho, _rfft(src), tol=tol)
+        assert 1 <= iterations <= 12
+        gp = grad(ScalarField(g, _irfft(g, phat)))
+        lhs = divergence(VectorField(g, gp.comp1 / rho, gp.comp2 / rho)).values
+        b = src - np.mean(src)
+        physical = np.sqrt(np.sum((lhs - b) ** 2) / np.sum(b * b))
+        assert physical <= tol
+        assert residual == pytest.approx(physical, rel=1e-3)
 
 
 def test_spectral_cg_iteration_cap_raises():
@@ -246,10 +261,11 @@ def test_spectral_cg_iteration_cap_raises():
 def test_spectral_cg_exact_warm_start_does_not_iterate():
     g, rho, src = pressure_problem(26)
     shat = _rfft(src)
-    phat = solve_pressure(g, rho, shat, tol=1e-12)
+    phat, _, _ = solve_pressure(g, rho, shat, tol=1e-12)
     # max_iter=0 allows no iteration: only the warm-start check can return
-    again = solve_pressure(g, rho, shat, tol=1e-10, max_iter=0, p0=phat)
+    again, iterations, residual = solve_pressure(g, rho, shat, tol=1e-10, max_iter=0, p0=phat)
     assert np.array_equal(again, phat)
+    assert iterations == 0 and residual <= 1e-10
 
 
 def test_ledger_records_density_of_every_step():
@@ -299,7 +315,7 @@ def test_runs_are_byte_stable():
     for x, y in ((a.u.comp1, b.u.comp1), (a.u.comp2, b.u.comp2),
                  (a.rho.values, b.rho.values), (a.pressure.values, b.pressure.values)):
         assert np.array_equal(x, y)
-    for name in ("times", "kinetic", "dissipation", "work"):
+    for name in ("times", "kinetic", "dissipation", "work", "cg_iterations", "cg_residual"):
         assert np.array_equal(getattr(la, name), getattr(lb, name))
 
 
@@ -396,3 +412,22 @@ def test_steps_four_times_the_old_viscous_cap_are_stable_and_second_order():
     diffs = [norms(VectorField(g, a.comp1 - b.comp1, a.comp2 - b.comp2))["l2"]
              for a, b in zip(finals, finals[1:])]
     assert diffs[0] >= 3.0 * diffs[1]
+
+
+def test_ledger_records_the_cg_solves_of_every_step():
+    # a (stage 1, stage 2) pair per step, each solve converged; the
+    # reciprocal-density preconditioner and the warm starts keep a solve
+    # of this smooth density to a few iterations
+    g = Grid2D(32, 32)
+    data = InitialData(perturbed_density(g, seed=32),
+                       random_divfree_field(g, seed=33, cutoff=4))
+    cfg = make_config(g, 2e-3, 0.02, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+    _, ledger = run(cfg, data)
+    steps = len(ledger.times) - 1
+    assert steps == 10
+    assert len(ledger.cg_iterations) == len(ledger.cg_residual) == steps
+    assert all(len(its) == len(res) == 2 for its, res in
+               zip(ledger.cg_iterations, ledger.cg_residual))
+    iterations = np.array(ledger.cg_iterations)
+    assert np.mean(iterations) <= 6
+    assert np.all(np.array(ledger.cg_residual) <= 1e-10)
