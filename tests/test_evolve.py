@@ -239,9 +239,9 @@ def test_spectral_cg_physical_residual_meets_tol():
     g = Grid2D(64, 64)
     x1, x2 = g.coords()
     inside = (np.abs(x1 - np.pi) < np.pi / 2) & (np.abs(x2 - np.pi) < np.pi / 2)
-    step = g, np.where(inside, 1.5, 0.5), random_scalar_field(g, seed=23, cutoff=20).values
+    jump = g, np.where(inside, 1.5, 0.5), random_scalar_field(g, seed=23, cutoff=20).values
     tol = 1e-10
-    for g, rho, src in (smooth, step):
+    for g, rho, src in (smooth, jump):
         phat, iterations, residual = solve_pressure(g, rho, _rfft(src), tol=tol)
         assert 1 <= iterations <= 12
         gp = grad(ScalarField(g, _irfft(g, phat)))
