@@ -1,70 +1,12 @@
 """oddflow: 2D incompressible inhomogeneous flow with density-dependent
 shear and odd viscosity — evolutionary and stationary solvers, symmetry-
 reduced closed forms, and a verification suite.
+
+Each regime is used through its own module (``oddflow.evolve``,
+``oddflow.stationary``, ``oddflow.symmetric``, ...), so importing one
+regime loads only what it needs.
 """
 
-from .fields import (
-    Grid2D,
-    ScalarField,
-    TensorField,
-    VectorField,
-    curl2d,
-    divergence,
-    grad,
-    leray_project,
-    norms,
-    perp_grad,
-    random_divfree_field,
-    random_scalar_field,
-)
-from .viscosity import (
-    DensityBounds,
-    ViscosityLaw,
-    check_pointwise_cancellation,
-    check_weak_cancellation,
-    make_law,
-    parse_law_spec,
-    strain_odd,
-    strain_sym,
-    viscous_stress,
-)
-from .semilag import USING_COMPILED, advect_scalar, interp_bicubic
-from .evolve import (
-    EnergyLedger,
-    EvolveConfig,
-    InitialData,
-    SimulationState,
-    odd_limit_sweep,
-    residual_weak_momentum,
-    run,
-    step,
-)
-from .stationary import (
-    BoundaryData,
-    EtaFunction,
-    RectDomain,
-    StationaryProblem,
-    StationarySolution,
-    assemble_A,
-    assemble_L,
-    boundary_data_from_g,
-    ellipticity_check,
-    homogeneous_boundary,
-    picard_solve,
-    recover_velocity,
-    residual_weak_stationary,
-)
-from .symmetric import (
-    ConcentricProblem,
-    ParallelProblem,
-    RadialProblem,
-    SymmetricSolution,
-    radial_nonexistence_demo,
-    solve_concentric,
-    solve_parallel,
-    solve_radial,
-    verify_full_momentum,
-)
-from .io import read_field, write_csv, write_field
+from .semilag import USING_COMPILED
 
 __version__ = "0.1.0"

@@ -313,7 +313,7 @@ def cmd_stationary(args):
           rep["lower_bound"], rep["upper_bound"])],
     )
     print(f"stationary: converged in {sol.iterations} iterations "
-          f"(final update {sol.final_update_norm:.3e}), artifacts in {out}")
+          f"(final update {sol.update_history[-1]:.3e}), artifacts in {out}")
     return 0
 
 
@@ -397,23 +397,13 @@ def cmd_symmetric(args):
 
 # -------------------------------------------------------- sweep-odd-limit
 
+# the evolve keys with the odd law replaced by c0 + eps*sin(rho)
 _SWEEP_SCHEMA = {
-    "n": (int, 64),
-    "length": (float, 2.0 * np.pi),
-    "dt": (float, _REQUIRED),
-    "t_end": (float, _REQUIRED),
+    **{k: v for k, v in _EVOLVE_SCHEMA.items() if k != "nu_o"},
     "c0": (float, 0.5),
     "eps": (_floats, (0.4, 0.2, 0.1, 0.05)),
-    "nu_e": (str, "const:1.0"),
-    "mu_star": (float, 0.5),
-    "mu_upper": (float, 2.0),
-    "rho_min": (float, 0.5),
-    "rho_max": (float, 1.5),
     "init_velocity": (str, "random"),
     "init_density": (str, "perturbed"),
-    "amplitude": (float, 1.0),
-    "density_cutoff": (int, 3),
-    "velocity_cutoff": (int, 4),
 }
 
 

@@ -47,7 +47,7 @@ from .fields import (
     norms,
 )
 from .semilag import advect_scalar
-from .viscosity import DensityBounds, ViscosityLaw, strain_odd, strain_sym
+from .viscosity import DensityBounds, ViscosityLaw, _frobenius, strain_sym, viscous_stress
 
 ForceFn = Callable[[float], Optional[VectorField]]
 
@@ -59,18 +59,15 @@ class EvolveConfig:
     t_end: float
     law: ViscosityLaw
     bounds: DensityBounds
-    mode_cutoff: int = 0  # 0: use the 2/3 dealiasing cutoff
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        limit = min(self.grid.n1, self.grid.n2) // 3
-        if self.mode_cutoff > limit:
-            raise ValueError(f"mode_cutoff must be <= {limit} for dealiasing")
 
     @property
     def cutoff(self):
-        return self.mode_cutoff if self.mode_cutoff > 0 else min(self.grid.n1, self.grid.n2) // 3
+        """The 2/3-rule dealiasing cutoff."""
+        return min(self.grid.n1, self.grid.n2) // 3
 
 
 @dataclass(frozen=True)
@@ -529,16 +526,7 @@ def residual_weak_momentum(times, states, config: EvolveConfig,
                     + rho * u2 * u1 * g21
                     + rho * u2 * u2 * g22
                 )
-                me = law.mu_e(rho)
-                mo = law.mu_o(rho)
-                s = strain_sym(st.u)
-                o = strain_odd(st.u)
-                visc = 0.5 * (
-                    (me * s.t11 + mo * o.t11) * sphi.t11
-                    + (me * s.t12 + mo * o.t12) * sphi.t12
-                    + (me * s.t21 + mo * o.t21) * sphi.t21
-                    + (me * s.t22 + mo * o.t22) * sphi.t22
-                )
+                visc = 0.5 * _frobenius(viscous_stress(law, st.rho, st.u), sphi)
                 integrand = integrand + a * (uu + visc)
                 f = force(t) if force else None
                 if f is not None:

@@ -267,11 +267,6 @@ def norms(x) -> dict:
     return {"l2": float(l2), "linf": float(linf), "h1_semi": float(h1)}
 
 
-def l2_inner(a, b, grid):
-    """Discrete L2 inner product of two plain arrays on a grid."""
-    return float(np.sum(a * b) * grid.cell_area)
-
-
 def random_scalar_field(grid: Grid2D, seed: int, cutoff: int) -> ScalarField:
     """Random mean-zero band-limited scalar field, deterministic in seed."""
     if cutoff >= min(grid.n1, grid.n2) // 3:

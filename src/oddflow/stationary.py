@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -201,7 +201,6 @@ class StationarySolution:
     u1: np.ndarray                # perp-grad phi by centered differences
     u2: np.ndarray
     iterations: int
-    final_update_norm: float
     update_history: list = field(default_factory=list)
 
 
@@ -471,7 +470,7 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
             d1, d2 = _mid_derivs(dom, phi_ext)
             return StationarySolution(
                 dom, _ext_to_mid(phi_ext).copy(), phi_ext,
-                problem.eta(_ext_to_mid(phi_ext)), -d2, d1, it, update, history,
+                problem.eta(_ext_to_mid(phi_ext)), -d2, d1, it, history,
             )
     raise PicardError(
         f"no convergence in {max_iter} iterations (last update {history[-1]:.3e})",

@@ -12,7 +12,7 @@ viscosity and a jump in the odd viscosity admits no H1 profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -101,7 +101,6 @@ class SymmetricSolution:
     nodes: np.ndarray             # x2, r, or theta samples
     profile: np.ndarray           # u1, g, or h at the nodes
     pressure: dict                # reconstruction pieces, kind-specific
-    residual: Optional[float] = None
     extras: dict = field(default_factory=dict)
 
 

@@ -60,11 +60,6 @@ def test_config_validation():
     g = Grid2D(16, 16)
     with pytest.raises(ValueError):
         make_config(g, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        EvolveConfig(g, 0.01, 1.0,
-                     make_law("const:1.0", "const:0.0", 0.5, 2.0,
-                              DensityBounds(0.5, 1.5)),
-                     DensityBounds(0.5, 1.5), mode_cutoff=10)
 
 
 def test_initial_data_validation():
