@@ -8,9 +8,10 @@ from [-10, 10]^2 (scattered gathers), and `departure`, the grid nodes
 each shifted by less than one cell (what transport asks for).  Two calls:
 `plane`, one clamped scalar plane, and `pair`, a (2, n, n) velocity stack
 sampled unclamped at the same points; both kernels take the stack in one
-call and find each point's stencil once for its two planes.  Times are the
-best of 5 in ns per point; a pair call counts each point once, for its two
-values.
+call and find each point's stencil once for its two planes.  Each kernel
+module is called directly, into an output array allocated once.  Times are
+the best of 5 in ns per point; a pair call counts each point once, for its
+two values.
 """
 
 import sys
@@ -18,8 +19,13 @@ import time
 
 import numpy as np
 
+from oddflow import _semilag_np
 from oddflow.fields import Grid2D
-from oddflow.semilag import USING_COMPILED, interp_bicubic
+
+try:
+    from oddflow import _semilag_c
+except ImportError:
+    _semilag_c = None
 
 
 def point_sets(grid, rng):
@@ -47,26 +53,28 @@ def bench(n):
     grid = Grid2D(n, n)
     rng = np.random.default_rng(7)
     calls = {
-        "plane": (rng.standard_normal((n, n)), True),
+        "plane": (rng.standard_normal((1, n, n)), True),
         "pair": (rng.standard_normal((2, n, n)), False),
     }
     results = {}
     for set_name, (x1, x2) in point_sets(grid, rng).items():
+        x1, x2 = np.ravel(x1), np.ravel(x2)
         for call, (vals, clamp) in calls.items():
             row = results[(call, set_name)] = {}
-            for label, compiled in (("compiled", True), ("numpy", False)):
-                if compiled and not USING_COMPILED:
+            out = np.empty((len(vals), x1.size))
+            for label, kern in (("compiled", _semilag_c), ("numpy", _semilag_np)):
+                if kern is None:
                     row[label] = None
                     continue
-                t = best_time(lambda: interp_bicubic(grid, vals, x1, x2, clamp=clamp,
-                                                     compiled=compiled))
+                t = best_time(lambda: kern.bicubic_periodic(vals, x1, x2, grid.h1, grid.h2,
+                                                            clamp, out))
                 row[label] = 1e9 * t / x1.size
     return results
 
 
 def main():
     sizes = [int(a) for a in sys.argv[1:]] or [64, 128, 256, 512]
-    print(f"compiled kernel available: {USING_COMPILED}")
+    print(f"compiled kernel available: {_semilag_c is not None}")
     print(f"{'n':>5} {'points':>8} {'call':>6} {'set':>10} "
           f"{'compiled':>11} {'numpy':>11} {'speedup':>8}")
     for n in sizes:

@@ -23,19 +23,16 @@ def _reduced(s, n):
     return s, np.nan_to_num(np.floor(s))
 
 
-def bicubic_periodic(values, x1, x2, h1, h2, clamp=True):
+def bicubic_periodic(values, x1, x2, h1, h2, clamp, out):
     """Clamped cubic Lagrange interpolation on a periodic grid.
 
-    Same sampling as the compiled kernel (which fills a caller's `out`
-    rather than returning a new array): sample `values` at points (x1, x2);
-    with clamp=True the result is limited to the min/max of the surrounding
-    2x2 nodes.  A (k, n1, n2) stack is sampled in one pass into (k, m).
+    The compiled kernel's call: sample the (k, n1, n2) planes `values` at
+    the m points (x1, x2) into the caller's (k, m) array `out`; with clamp
+    true each result is limited to the min/max of its surrounding 2x2 nodes.
     """
-    planes = np.pad(np.reshape(values, (-1,) + np.shape(values)[-2:]),
-                    ((0, 0), (1, 2), (1, 2)), mode="wrap")
+    planes = np.pad(values, ((0, 0), (1, 2), (1, 2)), mode="wrap")
     k, m1, m2 = planes.shape
     flat = planes.reshape(k, m1 * m2)
-    out = np.zeros((k, x1.size))
     for c in range(0, x1.size, 8192):  # blocks of points keep the work arrays in cache
         blk = slice(c, c + 8192)
         s1, s2 = x1[blk] / h1, x2[blk] / h2
@@ -48,6 +45,7 @@ def bicubic_periodic(values, x1, x2, h1, h2, clamp=True):
         base = np.mod(f1.astype(np.int64), m1 - 3) * m2 + np.mod(f2.astype(np.int64), m2 - 3)
         idx, v = np.empty_like(base), np.empty((k, base.size))
         row, acc = np.empty_like(v), out[:, blk]
+        acc.fill(0.0)
         if clamp:
             lo, hi = np.full_like(v, np.inf), np.full_like(v, -np.inf)
         for a in range(4):
@@ -64,4 +62,3 @@ def bicubic_periodic(values, x1, x2, h1, h2, clamp=True):
             acc += row
         if clamp:
             np.clip(acc, lo, hi, out=acc)
-    return out if np.ndim(values) == 3 else out[0]

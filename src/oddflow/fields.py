@@ -97,10 +97,6 @@ class VectorField:
             _check_finite(name, a)
             object.__setattr__(self, name, a)
 
-    def perp(self):
-        """Rotate by 90 degrees: (u1, u2) -> (-u2, u1)."""
-        return VectorField(self.grid, -self.comp2, self.comp1)
-
 
 @dataclass(frozen=True)
 class TensorField:
@@ -169,12 +165,6 @@ def _rfft_inner(grid, ahat, bhat):
     return float(total) / (grid.n1 * grid.n2)
 
 
-def _deriv(grid, values, axis):
-    k1, k2 = _rfft_wavenumbers(grid)
-    k = k1 if axis == 0 else k2
-    return _irfft(grid, 1j * k * _rfft(values))
-
-
 def _grad_hat(grid, vhat):
     """Gradient coefficients of each plane of `vhat`: a new axis of
     length 2 (d1, d2) is put before the last two."""
@@ -195,31 +185,35 @@ def _velocity_gradient(u: VectorField):
     return _gradient_planes(u.grid, _rfft(np.stack((u.comp1, u.comp2))))
 
 
-def _gradient_planes(grid, uhat):
-    """(d1 u1, d2 u1, d1 u2, d2 u2) as one (4, n1, n2) array from the
-    rfft2 coefficients (2, n1, m) of a velocity, in one batched inverse
-    transform."""
-    dhat = _grad_hat(grid, uhat)
-    return _irfft(grid, dhat.reshape((4,) + dhat.shape[2:]))
+def _gradient_planes(grid, vhat):
+    """(d1, d2) of each plane of the rfft2 coefficients `vhat`, in turn, as
+    one stack of planes from one batched inverse transform: (d1 u1, d2 u1,
+    d1 u2, d2 u2) for the (2, n1, m) coefficients of a velocity."""
+    dhat = _grad_hat(grid, vhat)
+    return _irfft(grid, dhat.reshape((-1,) + dhat.shape[-2:]))
 
 
 def grad(s: ScalarField) -> VectorField:
     """Spectral gradient (d1 s, d2 s)."""
-    return VectorField(s.grid, _deriv(s.grid, s.values, 0), _deriv(s.grid, s.values, 1))
+    d1, d2 = _gradient_planes(s.grid, _rfft(s.values))
+    return VectorField(s.grid, d1, d2)
 
 
 def perp_grad(s: ScalarField) -> VectorField:
     """Rotated gradient (-d2 s, d1 s); divergence-free by construction."""
-    return VectorField(s.grid, -_deriv(s.grid, s.values, 1), _deriv(s.grid, s.values, 0))
+    d1, d2 = _gradient_planes(s.grid, _rfft(s.values))
+    return VectorField(s.grid, -d2, d1)
 
 
 def divergence(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, _deriv(v.grid, v.comp1, 0) + _deriv(v.grid, v.comp2, 1))
+    vhat = _rfft(np.stack((v.comp1, v.comp2)))
+    return ScalarField(v.grid, _irfft(v.grid, _div_hat(v.grid, vhat)))
 
 
 def curl2d(v: VectorField) -> ScalarField:
-    """Scalar vorticity d1 v2 - d2 v1."""
-    return ScalarField(v.grid, _deriv(v.grid, v.comp2, 0) - _deriv(v.grid, v.comp1, 1))
+    """Scalar vorticity d1 v2 - d2 v1, the divergence of (v2, -v1)."""
+    vhat = _rfft(np.stack((v.comp2, -v.comp1)))
+    return ScalarField(v.grid, _irfft(v.grid, _div_hat(v.grid, vhat)))
 
 
 def inv_laplacian(s: ScalarField) -> ScalarField:
@@ -247,23 +241,15 @@ def norms(x) -> dict:
     """L2, Linf and homogeneous-H1 norms by trapezoid (= midpoint) quadrature."""
     if isinstance(x, ScalarField):
         comps = [x.values]
-        grads = [grad(x)]
-        grid = x.grid
     elif isinstance(x, VectorField):
         comps = [x.comp1, x.comp2]
-        grads = [
-            grad(ScalarField(x.grid, x.comp1)),
-            grad(ScalarField(x.grid, x.comp2)),
-        ]
-        grid = x.grid
     else:
         raise TypeError("norms expects a ScalarField or VectorField")
-    da = grid.cell_area
+    grads = _gradient_planes(x.grid, _rfft(np.stack(comps)))
+    da = x.grid.cell_area
     l2 = np.sqrt(sum(np.sum(c * c) for c in comps) * da)
     linf = max(np.max(np.abs(c)) for c in comps)
-    h1 = np.sqrt(
-        sum(np.sum(g.comp1**2 + g.comp2**2) for g in grads) * da
-    )
+    h1 = np.sqrt(np.sum(grads * grads) * da)
     return {"l2": float(l2), "linf": float(linf), "h1_semi": float(h1)}
 
 

@@ -19,39 +19,24 @@ except ImportError:  # pragma: no cover - depends on build environment
 
     USING_COMPILED = False
 
-from . import _semilag_np
 from .fields import Grid2D, ScalarField, VectorField
 
 
-def interp_bicubic(grid: Grid2D, values, x1, x2, clamp=True, compiled=None):
+def interp_bicubic(grid: Grid2D, values, x1, x2, clamp=True):
     """Interpolate nodal values at arbitrary points; periodic wrap-around.
 
     `values` is one (n1, n2) plane, or a (k, n1, n2) stack of planes
     sampled at the same points; the result has the shape of x1, with a
-    leading axis of length k for a stack.  Both kernels find each point's
+    leading axis of length k for a stack.  The kernel finds each point's
     stencil geometry once for all planes of a stack.
-
-    `compiled` picks the kernel: None the one selected at import time,
-    False the numpy twin, True the compiled extension or nothing (raises
-    ImportError when `oddflow._semilag_c` is not built).
     """
-    if compiled and not USING_COMPILED:
-        raise ImportError(
-            "compiled kernel requested but oddflow._semilag_c is not built "
-            "(python setup.py build_ext --inplace)",
-            name="oddflow._semilag_c",
-        )
-    kern = _kernel if compiled is None else (_kernel if compiled else _semilag_np)
     values = np.ascontiguousarray(values, dtype=float)
     shape = np.shape(x1)
     x1 = np.ravel(np.asarray(x1, dtype=float))
     x2 = np.ravel(np.asarray(x2, dtype=float))
-    if kern is _semilag_np:
-        out = kern.bicubic_periodic(values, x1, x2, grid.h1, grid.h2, clamp)
-    else:
-        planes = values.reshape((-1,) + values.shape[-2:])
-        out = np.empty((len(planes), x1.size))
-        kern.bicubic_periodic(planes, x1, x2, grid.h1, grid.h2, clamp, out)
+    planes = values.reshape((-1,) + values.shape[-2:])
+    out = np.empty((len(planes), x1.size))
+    _kernel.bicubic_periodic(planes, x1, x2, grid.h1, grid.h2, clamp, out)
     return np.reshape(out, values.shape[:-2] + shape)
 
 
@@ -65,22 +50,19 @@ def departure_points(grid: Grid2D, u: VectorField, dt: float):
     return x1 - dt * um1, x2 - dt * um2
 
 
-def advect_scalar(s: ScalarField, u: VectorField, dt: float,
-                  conserve_mass=True) -> ScalarField:
+def advect_scalar(s: ScalarField, u: VectorField, dt: float) -> ScalarField:
     """One semi-Lagrangian transport step for a scalar.
 
     Clamped interpolation keeps the output inside [min s, max s] exactly,
     with no global clip: each value lies between the min and max of its
-    own 2x2 nodes.  The optional conservative fix restores the grid
-    integral while staying inside those bounds.
+    own 2x2 nodes.  A conservative fix then restores the grid integral
+    while staying inside those bounds.
     """
     grid = s.grid
     d1, d2 = departure_points(grid, u, dt)
     vals = interp_bicubic(grid, s.values, d1, d2, clamp=True)
     lo, hi = float(np.min(s.values)), float(np.max(s.values))
-    if conserve_mass:
-        vals = _restore_mass(vals, float(np.sum(s.values)), lo, hi)
-    return ScalarField(grid, vals)
+    return ScalarField(grid, _restore_mass(vals, float(np.sum(s.values)), lo, hi))
 
 
 def _restore_mass(vals, target_sum, lo, hi):

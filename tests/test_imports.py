@@ -21,10 +21,10 @@ def _loaded_after(module, names):
 
 
 def test_each_regime_imports_only_its_own_modules():
-    assert _loaded_after(
-        "oddflow.evolve",
-        ["oddflow.stationary", "oddflow.symmetric", "scipy.sparse", "scipy.integrate"],
-    ) == []
+    others = ["oddflow.stationary", "oddflow.symmetric", "scipy.sparse", "scipy.integrate"]
+    assert _loaded_after("oddflow.evolve", others) == []
+    # each subcommand imports its regime when it runs
+    assert _loaded_after("oddflow.cli", others) == []
     assert _loaded_after("oddflow.stationary", ["oddflow.symmetric", "scipy.integrate"]) == []
 
 

@@ -52,11 +52,24 @@ def built_package(tmp_path_factory):
 
 
 def _built_kernel(lib):
-    """Load the built extension in this process, next to the source package."""
+    """Load the built extension in this process, next to the source package.
+
+    Creating the extension module enters it in sys.modules; the entry is put
+    back as it was, so that a later `import oddflow._semilag_c` in this
+    process still finds only what the source tree holds.
+    """
+    name = "oddflow._semilag_c"
     path = lib / "oddflow" / ("_semilag_c" + sysconfig.get_config_var("EXT_SUFFIX"))
-    spec = importlib.util.spec_from_file_location("oddflow._semilag_c", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    spec = importlib.util.spec_from_file_location(name, path)
+    before = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if before is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = before
     return module
 
 
@@ -84,12 +97,12 @@ def test_kernel_parity_compiled_vs_numpy(built_package):
     x1 = rng.uniform(-12.0, 12.0, 2000)
     x2 = rng.uniform(-12.0, 12.0, 2000)
     stack = rng.standard_normal((2, 32, 48))
-    for v in (vals, stack):
+    for v in (vals[None], stack):
         for clamp in (True, False):
-            a = np.empty((v.size // (32 * 48), x1.size))
-            compiled.bicubic_periodic(v.reshape(-1, 32, 48), x1, x2, g.h1, g.h2, clamp, a)
-            b = _semilag_np.bicubic_periodic(v, x1, x2, g.h1, g.h2, clamp)
-            assert np.max(np.abs(a.reshape(b.shape) - b)) < 5e-14
+            a, b = np.empty((2, len(v), x1.size))
+            compiled.bicubic_periodic(v, x1, x2, g.h1, g.h2, clamp, a)
+            _semilag_np.bicubic_periodic(v, x1, x2, g.h1, g.h2, clamp, b)
+            assert np.max(np.abs(a - b)) < 5e-14
 
 
 @needs_cc
@@ -126,9 +139,9 @@ def test_compiled_kernel_checks_its_arguments(built_package):
     p1 = np.array([np.nan, np.inf, -np.inf, 1.0, 1.0, 1.0, 1.0])
     p2 = np.array([2.0, 2.0, 2.0, np.nan, np.inf, -np.inf, 2.0])
     for clamp in (True, False):
-        a = np.empty((2, p1.size))
+        a, b = np.empty((2, 2, p1.size))
         compiled.bicubic_periodic(vals, p1, p2, g.h1, g.h2, clamp, a)
-        b = _semilag_np.bicubic_periodic(vals, p1, p2, g.h1, g.h2, clamp)
+        _semilag_np.bicubic_periodic(vals, p1, p2, g.h1, g.h2, clamp, b)
         assert np.all(np.isnan(a[:, :6])) and np.all(np.isnan(b[:, :6]))
         assert np.array_equal(a[:, 6], b[:, 6])
     # a point too far out for an integer index still finds its node by period
@@ -188,7 +201,7 @@ def _loop_bicubic(values, x1, x2, h1, h2, clamp=True):
     return acc
 
 
-def test_numpy_kernel_is_bit_identical_to_the_loop():
+def _assert_kernel_equals_the_loop(kernel):
     g = Grid2D(32, 48, 5.0, 7.0)
     rng = np.random.default_rng(11)
     stack = rng.standard_normal((2, 32, 48))
@@ -196,13 +209,23 @@ def test_numpy_kernel_is_bit_identical_to_the_loop():
     x1 = rng.uniform(-3.0 * g.len1, 3.0 * g.len1, 20000)
     x2 = rng.uniform(-3.0 * g.len2, 3.0 * g.len2, 20000)
     for clamp in (True, False):
-        both = _semilag_np.bicubic_periodic(stack, x1, x2, g.h1, g.h2, clamp)
-        assert both.shape == (2, 20000)
+        both = np.empty((2, 20000))
+        kernel.bicubic_periodic(stack, x1, x2, g.h1, g.h2, clamp, both)
         for k in range(2):
             want = _loop_bicubic(stack[k], x1, x2, g.h1, g.h2, clamp)
-            one = _semilag_np.bicubic_periodic(stack[k], x1, x2, g.h1, g.h2, clamp)
-            assert np.array_equal(one, want)
+            one = np.empty((1, 20000))
+            kernel.bicubic_periodic(stack[k:k + 1], x1, x2, g.h1, g.h2, clamp, one)
+            assert np.array_equal(one[0], want)
             assert np.array_equal(both[k], want)
+
+
+def test_numpy_kernel_is_bit_identical_to_the_loop():
+    _assert_kernel_equals_the_loop(_semilag_np)
+
+
+@needs_cc
+def test_compiled_kernel_is_bit_identical_to_the_loop(built_package):
+    _assert_kernel_equals_the_loop(_built_kernel(built_package))
 
 
 def test_numpy_kernel_far_and_non_finite_points():
@@ -215,7 +238,8 @@ def test_numpy_kernel_far_and_non_finite_points():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for clamp in (True, False):
-            out = _semilag_np.bicubic_periodic(vals, p1, p2, 0.25, 1 / 8, clamp)
+            out = np.empty((2, p1.size))
+            _semilag_np.bicubic_periodic(vals, p1, p2, 0.25, 1 / 8, clamp, out)
             assert np.array_equal(out[:, 0], out[:, 1])
             assert np.all(np.isfinite(out[:, :2])) and np.all(np.isnan(out[:, 2:]))
 
@@ -226,11 +250,10 @@ def test_interp_stack_keeps_point_shape():
     stack = rng.standard_normal((2, 16, 24))
     x1, x2 = g.coords()
     x1, x2 = x1 + 0.3 * g.h1, x2 - 0.6 * g.h2
-    both = interp_bicubic(g, stack, x1, x2, clamp=False, compiled=False)
+    both = interp_bicubic(g, stack, x1, x2, clamp=False)
     assert both.shape == (2, 16, 24)
     for k in range(2):
-        assert np.array_equal(
-            both[k], interp_bicubic(g, stack[k], x1, x2, clamp=False, compiled=False))
+        assert np.array_equal(both[k], interp_bicubic(g, stack[k], x1, x2, clamp=False))
 
 
 def test_departure_points_stacked_equal_two_plane_calls():
@@ -326,6 +349,6 @@ def test_translation_oracle():
     s = ScalarField(g, np.sin(x1) * np.cos(x2))
     u = VectorField(g, np.full_like(x1, 0.7), np.full_like(x1, -0.3))
     dt = 0.05
-    out = advect_scalar(s, u, dt, conserve_mass=False)
+    out = advect_scalar(s, u, dt)
     exact = np.sin(x1 - 0.7 * dt) * np.cos(x2 + 0.3 * dt)
     assert np.max(np.abs(out.values - exact)) < 5e-6
