@@ -85,7 +85,7 @@ def problem(nx):
 
 
 def solve_error(nx, picard_kwargs=None):
-    """L2 error of the Picard solution against the manufactured phi."""
+    """L2 error of the `picard_solve` solution against the manufactured phi."""
     from oddflow.stationary import picard_solve
 
     prob, phi_fn = problem(nx)

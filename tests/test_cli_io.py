@@ -238,6 +238,16 @@ def test_stationary_failure_names_the_iteration(tmp_path, capsys):
     assert "stationary: Picard map turned non-finite in iteration 24" in err
 
 
+def test_stationary_singular_factorization_names_the_factorization(tmp_path, capsys):
+    # density 0 with nu_e(r) = r makes the operator singular; the exit-3
+    # report says that the factorization failed, and in which iteration
+    cfg = _write(tmp_path / "s.cfg",
+                 "n = 12\nnu_e = affine:0,1\nnu_o = const:0.0\neta = const:0.0\n")
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "stationary: factorization failed in iteration 1" in err
+
+
 def test_symmetric_command_profiles(tmp_path):
     cfg = _write(tmp_path / "p.cfg",
                  "symmetry = parallel\nC = -2.0\nu_a = 0.0\nu_b = 0.0\n")

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import _mms
+from oddflow import stationary
 from oddflow.stationary import (
     BoundaryData,
     EtaFunction,
@@ -323,10 +324,67 @@ def test_picard_matches_tightened_damped_solve():
 
 
 def test_manufactured_solve_takes_few_iterations():
-    # the damped iteration took 16; Anderson mixing takes 6
+    # the damped iteration took 16; Anderson-mixed chord takes 7
     _, sol = _mms.solve_error(31)
     assert sol.iterations <= 8
     assert sol.update_history[-1] <= 1e-9
+
+
+def _wall_driven(speed, law, eta):
+    """16^2 problem on the unit square with tangential wall speed `speed`
+    on every side and no force."""
+    dom = RectDomain(16, 16)
+    z = np.zeros((18, 18))
+
+    def g(x, y):
+        if y == 0.0:
+            return (speed, 0.0)
+        if x == 1.0:
+            return (0.0, speed)
+        return (-speed, 0.0) if y == 1.0 else (0.0, -speed)
+
+    return StationaryProblem(dom, law, eta, z, z, boundary_data_from_g(dom, g))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(stationary, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, name, counted)
+    return calls
+
+
+def test_solve_factorizes_exactly_once(monkeypatch):
+    # the chord map keeps the first map's factors for the whole solve and
+    # never calls a fresh sparse solve
+    law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, DensityBounds(0.5, 1.5))
+    problems = [_mms.problem(31)[0]] + [
+        _wall_driven(speed, law, eta_affine(1.0, 0.05, 2.0)) for speed in (5.0, 20.0, 50.0)
+    ]
+    factorizations = _count_calls(monkeypatch, "splu")
+    solves = _count_calls(monkeypatch, "spsolve")
+    for prob in problems:
+        factorizations.clear()
+        sol = picard_solve(prob)
+        assert len(factorizations) == 1 and solves == []
+        assert sol.update_history[-1] <= 1e-9
+
+
+def test_singular_factorization_is_a_picard_error():
+    # nu_e(r) = r at density 0 assembles the zero matrix: SuperLU refuses
+    # it, and the solver reports where it stopped
+    dom = RectDomain(12, 12)
+    law = make_law("affine:0,1", "const:0.0", 0.5, 2.0, DensityBounds(0.5, 1.5))
+    z = np.zeros((14, 14))
+    prob = StationaryProblem(dom, law, eta_affine(0.0, 0.0, 2.0), z, z,
+                             homogeneous_boundary(dom))
+    with pytest.raises(PicardError, match="factorization failed in iteration 1") as exc:
+        picard_solve(prob)
+    assert exc.value.last_update == np.inf
 
 
 def test_diverging_iteration_is_never_reported_converged():
