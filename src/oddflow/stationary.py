@@ -20,8 +20,9 @@ The nonlinearity is handled by Anderson-accelerated chord iteration,
 depth 3, mixing factor `damping`: the frozen-coefficient matrix of the
 first iterate is factorized once (SuperLU on a minimum-degree ordering
 of A^T + A) and its factors precondition the defect of every later
-iterate, so each further map costs one assembly, one sparse product
-and one triangular solve.
+iterate.  The defect needs only the operator's action, which the same
+stencils apply without a matrix, so each further map costs one stencil
+application of the operator and one triangular solve.
 """
 
 from __future__ import annotations
@@ -410,6 +411,20 @@ def _ext_to_mid(phi_ext):
     return phi_ext[1:-1, 1:-1]
 
 
+def _apply_operator(domain, mu_e, mu_o, phi_ext):
+    """(L[mu_e] + A[mu_o]) phi_ext on the interior, without a matrix.
+
+    With b, t = B phi, T phi on the mid grid, the operator is
+    B(mu_e b + mu_o t) + T(mu_e t - mu_o b): the stencils of
+    `assemble_L` and `assemble_A` applied to arrays.
+    """
+    h = domain.h
+    b, t = _mid_b_t(domain, phi_ext)
+    p = mu_e * b + mu_o * t
+    q = mu_e * t - mu_o * b
+    return _int_d22(p, h) - _int_d11(p, h) + 2.0 * _int_d12(q, h)
+
+
 _ANDERSON_DEPTH = 3
 
 
@@ -424,7 +439,9 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
         G(phi) = phi + M_0^{-1} [rhs(phi) - M(phi) phi],
 
     where M_0 = M(phi_1) is factorized once, at the first map, and kept
-    for the whole solve.  Its fixed points are those of the Picard map
+    for the whole solve; the product M(phi) phi is a stencil application
+    of the operator, so a later map costs that and one triangular solve.
+    Its fixed points are those of the Picard map
     phi -> M(phi)^{-1} rhs(phi).  With residuals f_k = G(phi_k) - phi_k,
     the next iterate is (Walker & Ni 2011)
 
@@ -451,15 +468,11 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
     for it in range(1, max_iter + 1):
         phi_ext = (emb @ phi_int + shift).reshape(nx + 4, ny + 4)
         rho = problem.eta(_ext_to_mid(phi_ext))
-        op = assemble_L(dom, problem.law.mu_e(rho)) + assemble_A(
-            dom, problem.law.mu_o(rho)
-        )
-        defect = nonlinear_rhs(dom, phi_ext, problem.eta,
-                               problem.force1, problem.force2).ravel()
-        defect -= op @ phi_ext.ravel()
+        mu_e, mu_o = problem.law.mu_e(rho), problem.law.mu_o(rho)
+        defect = (nonlinear_rhs(dom, phi_ext, problem.eta, problem.force1, problem.force2)
+                  - _apply_operator(dom, mu_e, mu_o, phi_ext)).ravel()
         if lu is None:
-            mat = (op @ emb).tocsc()
-            del op                   # free it before the factorization's peak
+            mat = ((assemble_L(dom, mu_e) + assemble_A(dom, mu_o)) @ emb).tocsc()
             try:
                 lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as e:

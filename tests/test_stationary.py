@@ -10,6 +10,7 @@ from oddflow.stationary import (
     PicardError,
     RectDomain,
     StationaryProblem,
+    _apply_operator,
     _stencil_pair,
     assemble_A,
     assemble_L,
@@ -124,6 +125,25 @@ def test_assembly_equals_uncached_assembly():
         assemble_A(dom, mu)
     for cached, built in zip(sum(_stencil_pair(dom), ()), sum(fresh, ())):
         assert (cached != built).nnz == 0
+
+
+def test_stencil_application_equals_assembled_operator():
+    # the chord defect applies L[mu_e] + A[mu_o] by stencils; it must be
+    # the assembled matrix's product, ghost ring included, and keep the
+    # constant-coefficient cancellation of A to rounding
+    dom = RectDomain(15, 23, 1.0, 1.5)
+    rng = np.random.default_rng(14)
+    me = 1.0 + 0.5 * rng.random((17, 25))
+    mo = rng.standard_normal((17, 25))
+    phi_ext = rng.standard_normal((19, 27))
+    image = _apply_operator(dom, me, mo, phi_ext)
+    assembled = (assemble_L(dom, me) + assemble_A(dom, mo)) @ phi_ext.ravel()
+    assert image.shape == (15, 23)
+    scale = np.max(np.abs(assembled))
+    assert np.max(np.abs(image.ravel() - assembled)) <= 1e-12 * scale
+    odd = _apply_operator(dom, np.zeros_like(me), np.full_like(mo, 0.7), phi_ext)
+    even = _apply_operator(dom, me, np.zeros_like(mo), phi_ext)
+    assert np.max(np.abs(odd)) <= 1e-12 * np.max(np.abs(even))
 
 
 def test_assembled_operator_consistency_against_sympy():
@@ -371,6 +391,23 @@ def test_solve_factorizes_exactly_once(monkeypatch):
         factorizations.clear()
         sol = picard_solve(prob)
         assert len(factorizations) == 1 and solves == []
+        assert sol.update_history[-1] <= 1e-9
+
+
+def test_solve_assembles_exactly_once(monkeypatch):
+    # only the first map builds the matrix, to factorize it; every later
+    # defect applies the operator by stencils
+    law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, DensityBounds(0.5, 1.5))
+    problems = [_mms.problem(31)[0]] + [
+        _wall_driven(speed, law, eta_affine(1.0, 0.05, 2.0)) for speed in (5.0, 20.0, 50.0)
+    ]
+    even = _count_calls(monkeypatch, "assemble_L")
+    odd = _count_calls(monkeypatch, "assemble_A")
+    for prob in problems:
+        even.clear()
+        odd.clear()
+        sol = picard_solve(prob)
+        assert len(even) == 1 and len(odd) == 1
         assert sol.update_history[-1] <= 1e-9
 
 
