@@ -89,8 +89,9 @@ class InitialData:
 
 @dataclass(frozen=True)
 class SimulationState:
-    """`pressure` is a diagnostic: `run` recovers it for the states it
-    keeps, and leaves it None on the others."""
+    """`pressure` is a diagnostic: on the states `run` keeps it is the
+    stage-1 projection solution of the step that starts from the state
+    (for the final state, its own recovery); None on the others."""
 
     t: float
     rho: ScalarField
@@ -139,13 +140,14 @@ class EnergyLedger:
 def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
     """Velocity tendency before pressure: -(u.grad)u + div(sigma)/rho + f,
     as a (2, n1, n2) stack, of the velocity stack `u` with rfft2
-    coefficients `uhat`.
+    coefficients `uhat`, and the state's dissipation rate
+    int mu_e(rho) |sym strain|^2 dx (the entries of `strain_sym`).
 
     Single fused spectral pass: velocity derivatives are computed once and
-    shared by the advection term and both strain tensors; the 2/3 mask is
-    applied inside the same transform as each product's derivative.  The
-    derivative stack is freed before the five products are transformed,
-    which bounds the peak memory.
+    shared by the advection term, both strain tensors and the dissipation
+    rate; the 2/3 mask is applied inside the same transform as each
+    product's derivative.  The derivative stack is freed before the five
+    products are transformed, which bounds the peak memory.
     """
     mask = _rfft_mode_mask(grid, cutoff)
     u1, u2 = u
@@ -154,6 +156,9 @@ def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
     mo = law.mu_o(rho)
     off_sym = d2u1 + d1u2
     off_odd = d1u1 - d2u2
+    mag = (2.0 * d1u1)**2 + off_sym**2 + off_sym**2 + (2.0 * d2u2)**2
+    dissipation = float(np.sum(me * mag) * grid.cell_area)
+    del mag
     prod = np.empty((5, grid.n1, grid.n2))
     # advection term, then the viscous stress entries s11, s12, s22
     prod[0] = u1 * d1u1 + u2 * d2u1
@@ -172,7 +177,7 @@ def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
     if f is not None:
         g[0] += f.comp1
         g[1] += f.comp2
-    return g
+    return g, dissipation
 
 
 class ProjectionError(RuntimeError):
@@ -275,12 +280,12 @@ def _project_tendency(grid, rho, g, p0=None):
 
 
 def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u, uhat, f,
-                     cutoff, p0=None) -> np.ndarray:
+                     cutoff, p0=None):
     """rfft2 coefficients of the mean-zero pressure consistent with the
-    instantaneous state; `u` is the velocity stack and `uhat` its rfft2
-    coefficients."""
-    g = _advective_rhs(grid, law, rho, u, uhat, f, cutoff)
-    return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)[0]
+    instantaneous state, and the state's dissipation rate; `u` is the
+    velocity stack and `uhat` its rfft2 coefficients."""
+    g, dissipation = _advective_rhs(grid, law, rho, u, uhat, f, cutoff)
+    return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)[0], dissipation
 
 
 _CFL = 0.5  # advective Courant number of the adaptive step
@@ -332,12 +337,13 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     """One time step: density transport, projected ETDRK2 on the velocity
     with Galerkin mode truncation.
 
-    Returns the new density, the new velocity stack (2, n1, n2), its
-    rfft2 coefficients and the two projection solves' CG statistics as
-    ((iterations 1, iterations 2), (residual 1, residual 2)).  `warm` is a
-    mutable dict reused across steps that holds the earlier solutions of
-    the two projection solves ("q1", "q2", as rfft2 coefficients), their
-    warm starts.
+    Returns the new density, the new velocity stack (2, n1, n2), the
+    stage-1 projection's solution q1 (rfft2 coefficients), which is the
+    pressure of `state`, the dissipation rate of `state`, and the two
+    projection solves' CG statistics as ((iterations 1, iterations 2),
+    (residual 1, residual 2)).  `warm` is a mutable dict reused across
+    steps that holds the earlier solutions of the two projection solves
+    ("q1", "q2", as rfft2 coefficients), their warm starts.
     """
     grid = config.grid
     cutoff = config.cutoff
@@ -352,7 +358,7 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
 
     u = np.stack((state.u.comp1, state.u.comp2))
     uhat = _rfft(u)
-    g = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
+    g, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
     k, q1, cg1 = _project_tendency(grid, rho0, g, p0=_warm_start(q1s))
     # the stiff part is -lam * uhat, lam = nu_s |k|^2; n0 is the rest of
     # the projected stage-1 tendency; the mode cutoff is folded into the
@@ -368,25 +374,16 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     uhat = decay * uhat + w1 * n0
     u = _irfft(grid, uhat)
     del g, k, decay, w1  # not needed in stage 2, whose right side is the peak
-    g = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
+    g, _ = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
     k, q2, cg2 = _project_tendency(grid, rho1, g, p0=_warm_start(q2s))
     uhat += w2 * (_rfft(k) + lam * uhat - n0)
     del g, k, n0
     q1s[:], q2s[:] = q1s[-1:] + [q1], q2s[-1:] + [q2]
-    return rho_new, _irfft(grid, uhat), uhat, tuple(zip(cg1, cg2))
+    return rho_new, _irfft(grid, uhat), q1, dissipation, tuple(zip(cg1, cg2))
 
 
 def _kinetic(grid, rho, u):
     return float(np.sum(rho * (u[0]**2 + u[1]**2)) * grid.cell_area)
-
-
-def _dissipation_rate(grid, law, rho, uhat):
-    """int mu_e(rho) |sym strain|^2 dx of the velocity with rfft2
-    coefficients `uhat` (the entries of `strain_sym`)."""
-    d1u1, d2u1, d1u2, d2u2 = _gradient_planes(grid, uhat)
-    off = d2u1 + d1u2
-    mag = (2.0 * d1u1)**2 + off**2 + off**2 + (2.0 * d2u2)**2
-    return float(np.sum(law.mu_e(rho) * mag) * grid.cell_area)
 
 
 def _work_rate(grid, rho, u, f):
@@ -398,47 +395,49 @@ def _work_rate(grid, rho, u, f):
 def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     """Integrate to t_end.  Returns (states, ledger).
 
-    store_every=k keeps every k-th state (k=0: first and last only); the
-    pressure is recovered for the kept states alone, from the coefficients
-    the step made.  The ledger is appended at the initial state and after
-    every step regardless.  A state that turns non-finite (an overflow)
-    raises BlowUpError naming the step and the time of the last finite
-    state; step 0 is the set-up before the loop.  So does a CFL step below
-    _DT_FLOOR of config.dt, which a growing state reaches long before it
-    overflows.
+    store_every=k keeps every k-th state (k=0: first and last only).  Each
+    state's right side is evaluated once: the first stage of the step that
+    starts from a state solves for its pressure and gives its dissipation
+    rate, and only the final state has its own `recover_pressure`, warm
+    started from the earlier stage-1 solutions.  So a kept state's
+    pressure is its stage-1 solution, and the ledger entry of a state is
+    recorded once its rate is known; the ledger holds the initial state
+    and every step's.  A state that turns non-finite (an overflow) raises
+    BlowUpError naming the step and the time of the last finite state;
+    step 0 is the set-up before the loop, which checks that the initial
+    kinetic energy is finite.  So does a CFL step below _DT_FLOOR of
+    config.dt, which a growing state reaches long before it overflows.
     """
     k, state = 0, None
     try:
         data.validate(config.bounds)
         grid, law, force = config.grid, config.law, data.force
         ledger = EnergyLedger()
+        last = []  # the dissipation and work rates of the last recorded state
 
-        def kept(st, u, uhat, f, pressures):
-            # the CG starts from the earlier `pressures`, which this extends
-            phat = recover_pressure(grid, law, st.rho.values, u, uhat, f, config.cutoff,
-                                    p0=_warm_start(pressures))
-            pressures[:] = pressures[-1:] + [phat]
-            return replace(st, pressure=ScalarField(grid, _irfft(grid, phat)))
-
-        def record(t, rho, u, dissipation, work):
-            ledger.times.append(t)
+        def record(st, dissipation):
+            # the entry of state `st`, whose dissipation rate is `dissipation`;
+            # the trapezoids close the step that reached it
+            rho, u = st.rho.values, (st.u.comp1, st.u.comp2)
+            rates = (dissipation, _work_rate(grid, rho, u, force(st.t) if force else None))
+            if last:
+                half = 0.5 * ledger.dt[len(ledger.times) - 1]
+                ledger.dissipation.append(ledger.dissipation[-1] + half * (last[0] + rates[0]))
+                ledger.work.append(ledger.work[-1] + half * (last[1] + rates[1]))
+            else:
+                ledger.dissipation.append(0.0)
+                ledger.work.append(0.0)
+            last[:] = rates
+            ledger.times.append(st.t)
             ledger.kinetic.append(_kinetic(grid, rho, u))
-            ledger.dissipation.append(dissipation)
-            ledger.work.append(work)
             ledger.rho_min.append(float(rho.min()))
             ledger.rho_max.append(float(rho.max()))
             ledger.mass.append(float(np.sum(rho) * grid.cell_area))
 
-        f = force(0.0) if force else None
-        u = np.stack((data.u0.comp1, data.u0.comp2))
-        uhat = _rfft(u)
-        # the set-up pressure starts cold and warm-starts no output
-        state = kept(SimulationState(0.0, data.rho0, data.u0), u, uhat, f, [])
-        rho = data.rho0.values
-        record(0.0, rho, u, 0.0, 0.0)
-        d_prev, w_prev = _dissipation_rate(grid, law, rho, uhat), _work_rate(grid, rho, u, f)
-        del uhat  # never held across a step: at 256^2 a coefficient pair is 1 MiB
-        states, warm, pressures = [state], {}, []
+        state = SimulationState(0.0, data.rho0, data.u0)
+        if not math.isfinite(_kinetic(grid, data.rho0.values, (data.u0.comp1, data.u0.comp2))):
+            raise NonFiniteError("initial kinetic energy is not finite")
+        states, warm = [], {}
         while state.t < config.t_end - 1e-14:
             dt = stable_dt(config, state.u)
             limit = "config" if dt == config.dt else "cfl"
@@ -451,20 +450,20 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
                 dt, limit = config.t_end - state.t, "t_end"
             ledger.dt.append(dt)
             ledger.limit.append(limit)
-            rho_new, u, uhat, (iterations, residuals) = step(state, config, force, dt, warm)
+            rho_new, u, q1, dissipation, (iterations, residuals) = step(
+                state, config, force, dt, warm)
             ledger.cg_iterations.append(iterations)
             ledger.cg_residual.append(residuals)
-            new = SimulationState(state.t + dt, rho_new, VectorField(grid, *u))
-            f = force(new.t) if force else None
-            if (store_every and k % store_every == 0) or new.t >= config.t_end - 1e-14:
-                new = kept(new, u, uhat, f, pressures)
-                states.append(new)
-            state, rho = new, rho_new.values
-            d_now, w_now = _dissipation_rate(grid, law, rho, uhat), _work_rate(grid, rho, u, f)
-            del uhat
-            record(state.t, rho, u, ledger.dissipation[-1] + 0.5 * dt * (d_prev + d_now),
-                   ledger.work[-1] + 0.5 * dt * (w_prev + w_now))
-            d_prev, w_prev = d_now, w_now
+            if k == 1 or (store_every and (k - 1) % store_every == 0):
+                states.append(replace(state, pressure=ScalarField(grid, _irfft(grid, q1))))
+            record(state, dissipation)
+            state = SimulationState(state.t + dt, rho_new, VectorField(grid, *u))
+        u = np.stack((state.u.comp1, state.u.comp2))
+        qhat, dissipation = recover_pressure(
+            grid, law, state.rho.values, u, _rfft(u), force(state.t) if force else None,
+            config.cutoff, p0=_warm_start(warm.get("q1")))
+        states.append(replace(state, pressure=ScalarField(grid, _irfft(grid, qhat))))
+        record(state, dissipation)
     except NonFiniteError as e:
         t = 0.0 if state is None else state.t
         raise BlowUpError(f"state turned non-finite in step {k} (t = {t:.6g}): {e}") from e

@@ -103,15 +103,24 @@ def read_field(path, expect_kind=None):
 
 
 def write_csv(path, header, rows):
-    """CSV with every float in 17-significant-digit scientific notation,
-    so identical runs produce byte-identical files."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    """CSV with every integer as %d and every other number in
+    17-significant-digit scientific notation, so identical runs produce
+    byte-identical files.  Each row is formatted by one template, built
+    once per tuple of cell types; rows are streamed to the file, so no
+    copy of the whole text is held."""
+    templates = {}
+
+    def lines():
+        yield ",".join(header) + "\n"
         for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, (int, np.integer)):
-                    cells.append(str(int(v)))
-                else:
-                    cells.append("%.16e" % float(v))
-            fh.write(",".join(cells) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join(
+                    "%d" if issubclass(kind, (int, np.integer)) else "%.16e"
+                    for kind in kinds) + "\n"
+            yield template % row
+
+    with open(path, "w") as fh:
+        fh.writelines(lines())

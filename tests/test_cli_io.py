@@ -81,6 +81,26 @@ def test_csv_number_formatting(tmp_path):
     assert float(lines[2].split(",")[1]) == float(np.pi)
 
 
+def test_csv_rows_of_mixed_cell_types(tmp_path):
+    # integers of either kind and bools are written as integers, every
+    # other number in 17-digit scientific notation, rows of differing
+    # cell types each in their own format
+    path = tmp_path / "m.csv"
+    write_csv(path, ["a", "b", "c", "d"], [
+        (1, np.int64(-7), True, 0.1),
+        (np.float32(0.1), np.float64(np.pi), float("nan"), float("inf")),
+        (-0.0, -float("inf"), np.int64(2**40), False),
+        (3, np.int64(4), False, 2.5),
+    ])
+    assert path.read_text() == (
+        "a,b,c,d\n"
+        "1,-7,1,1.0000000000000001e-01\n"
+        "1.0000000149011612e-01,3.1415926535897931e+00,nan,inf\n"
+        "-0.0000000000000000e+00,-inf,1099511627776,0\n"
+        "3,4,0,2.5000000000000000e+00\n"
+    )
+
+
 # ------------------------------------------------------------ config files
 
 def test_config_parsing(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oddflow import evolve
 from oddflow.cli import _steady_shear_defects
 from oddflow.evolve import (  # noqa: the weak-form test field gets an alias
     BlowUpError,
@@ -330,6 +331,16 @@ def test_overflowing_force_raises_blow_up_naming_the_step():
     assert isinstance(err.value, RuntimeError) and not isinstance(err.value, ValueError)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_overflowing_initial_data_raises_blow_up_in_the_set_up():
+    # finite at amplitude 1e306, but its kinetic energy overflows: a
+    # solver failure of the set-up, before any step is taken
+    g = Grid2D(16, 16)
+    cfg = make_config(g, 0.01, 0.05)
+    with pytest.raises(BlowUpError, match=r"step 0 \(t = 0\)"):
+        run(cfg, InitialData(unit_density(g), taylor_green(g, amp=1e306)))
+
+
 def test_collapsing_cfl_step_raises_blow_up_naming_the_step():
     # a 1e150 forcing makes the velocity huge after one step of the
     # configured dt 0.01; the CFL step then drops to 1e-147 of it, which
@@ -426,3 +437,46 @@ def test_ledger_records_the_cg_solves_of_every_step():
     iterations = np.array(ledger.cg_iterations)
     assert np.mean(iterations) <= 6
     assert np.all(np.array(ledger.cg_residual) <= 1e-10)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(evolve, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, name, counted)
+    return calls
+
+
+def test_run_evaluates_each_state_once(monkeypatch):
+    # a step's first stage gives the pressure and the dissipation rate of
+    # the state it starts from, so only the final state has a recovery of
+    # its own: 2 right sides per step and 1 for the final state
+    g = Grid2D(32, 32)
+    data = InitialData(perturbed_density(g, seed=34),
+                       random_divfree_field(g, seed=35, cutoff=4))
+    cfg = make_config(g, 2e-3, 0.02, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+    cutoff = cfg.cutoff
+    u0 = np.stack((data.u0.comp1, data.u0.comp2))
+    cold, _ = evolve.recover_pressure(g, cfg.law, data.rho0.values, u0, _rfft(u0),
+                                      None, cutoff)
+    rhs = _count_calls(monkeypatch, "_advective_rhs")
+    recoveries = _count_calls(monkeypatch, "recover_pressure")
+    states, ledger = run(cfg, data)
+    steps = len(ledger.dt)
+    assert steps == 10
+    assert len(rhs) == 2 * steps + 1 and len(recoveries) == 1
+    assert np.array_equal(states[0].pressure.values, _irfft(g, cold))
+    # every kept pressure is its state's own, to the CG tolerance
+    monkeypatch.undo()
+    states, _ = run(cfg, data, store_every=1)
+    assert len(states) == steps + 1
+    for st in states:
+        u = np.stack((st.u.comp1, st.u.comp2))
+        phat, _ = evolve.recover_pressure(g, cfg.law, st.rho.values, u, _rfft(u),
+                                          None, cutoff)
+        p = _irfft(g, phat)
+        assert np.max(np.abs(st.pressure.values - p)) <= 1e-9 * np.max(np.abs(p))
