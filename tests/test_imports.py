@@ -26,6 +26,11 @@ def test_each_regime_imports_only_its_own_modules():
     # each subcommand imports its regime when it runs
     assert _loaded_after("oddflow.cli", others) == []
     assert _loaded_after("oddflow.stationary", ["oddflow.symmetric", "scipy.integrate"]) == []
+    # only the stationary and symmetric solvers need scipy
+    for module in ("oddflow.evolve", "oddflow.cli"):
+        assert _run(f"import sys, {module}\n"
+                    "print(*[n for n in sys.modules if n.startswith('scipy')])") == []
+    assert _loaded_after("oddflow.stationary", ["scipy.fft"]) == []
 
 
 def test_package_root_exports_the_kernel_flag():
