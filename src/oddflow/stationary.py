@@ -11,25 +11,27 @@ with w = perp-grad phi, clamped boundary conditions (phi, dphi/dn) =
     L[m] = B(m B .) + T(m T .),   A[m] = B(m T .) - T(m B .),
 
 where B = d22 - d11 and T = 2 d12.  Everything is discretized by
-second-order centered differences on a uniform grid with one ghost ring;
-the inner and outer stencils are full (untruncated) convolutions, so the
-discrete A with constant coefficient vanishes identically (the stencils
-commute), mirroring the continuous cancellation.
+second-order centered differences on a uniform grid with one ghost ring.
+B and T are written once, as 3x3 weight tables (`_B`, `_T`): `_assemble`
+composes them into the sparse matrix, 25 entries a row, and `_stencil`
+applies them to arrays.  The inner and outer stencils are full
+(untruncated) convolutions, so the discrete A with constant coefficient
+vanishes identically (the stencils commute), mirroring the continuous
+cancellation.
 
 The nonlinearity is handled by Anderson-accelerated chord iteration,
 depth 3, mixing factor `damping`: the frozen-coefficient matrix of the
 first iterate is factorized once (SuperLU on a minimum-degree ordering
 of A^T + A) and its factors precondition the defect of every later
 iterate.  The defect needs only the operator's action, which the same
-stencils apply without a matrix, so each further map costs one stencil
-application of the operator and one triangular solve.
+weight tables apply without a matrix, so each further map costs one
+stencil application of the operator and one triangular solve.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -102,13 +104,6 @@ def eta_affine(a, b, rho_max):
     return EtaFunction(lambda s: np.clip(a + b * s, 0.0, rho_max), rho_max)
 
 
-def eta_table(s_nodes, values, rho_max):
-    """Piecewise-linear eta through (s_nodes, values), constant outside."""
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return EtaFunction(lambda s: np.interp(s, s_nodes, values), rho_max)
-
-
 @dataclass(frozen=True)
 class BoundaryData:
     """Clamped boundary data for the stream function.
@@ -145,20 +140,23 @@ def boundary_data_from_g(domain: RectDomain, g, c0=0.0) -> BoundaryData:
     compatibility condition.
     """
     nx, ny, h = domain.nx, domain.ny, domain.h
-    lx, ly = domain.lx, domain.ly
+    # node coordinates with exact end points, so that g sees the corners
+    # at (lx, ly) and not at a rounded (nx+1) * h
+    x = np.linspace(0.0, domain.lx, nx + 2).tolist()
+    y = np.linspace(0.0, domain.ly, ny + 2).tolist()
     # counterclockwise node walk: bottom, right, top, left, back to start
     path = []
     for i in range(nx + 2):
-        path.append((i * h, 0.0, (0.0, -1.0), (1.0, 0.0)))
+        path.append((i, 0, (0.0, -1.0)))
     for j in range(1, ny + 2):
-        path.append((lx, j * h, (1.0, 0.0), (0.0, 1.0)))
+        path.append((nx + 1, j, (1.0, 0.0)))
     for i in range(nx, -1, -1):
-        path.append((i * h, ly, (0.0, 1.0), (-1.0, 0.0)))
+        path.append((i, ny + 1, (0.0, 1.0)))
     for j in range(ny, 0, -1):
-        path.append((0.0, j * h, (-1.0, 0.0), (0.0, -1.0)))
+        path.append((0, j, (-1.0, 0.0)))
     path.append(path[0])
 
-    gn = np.array([np.dot(g(x, y), n) for x, y, n, _ in path])
+    gn = np.array([np.dot(g(x[i], y[j]), n) for i, j, n in path])
     flux = float(np.trapezoid(gn, dx=h))
     if abs(flux) > 1e-10:
         raise ValueError(f"boundary velocity has nonzero flux {flux:.3e}")
@@ -168,12 +166,12 @@ def boundary_data_from_g(domain: RectDomain, g, c0=0.0) -> BoundaryData:
         raise ValueError(f"phi0 fails to close up: defect {closure:.3e}")
 
     phi0 = np.zeros((nx + 2, ny + 2))
-    for (x, y, _, _), v in zip(path[:-1], phi0_path[:-1]):
-        phi0[int(round(x / h)), int(round(y / h))] = v
-    phi1_left = np.array([np.dot(g(0.0, j * h), (0.0, -1.0)) for j in range(ny + 2)])
-    phi1_right = np.array([np.dot(g(lx, j * h), (0.0, 1.0)) for j in range(ny + 2)])
-    phi1_bottom = np.array([np.dot(g(i * h, 0.0), (1.0, 0.0)) for i in range(nx + 2)])
-    phi1_top = np.array([np.dot(g(i * h, ly), (-1.0, 0.0)) for i in range(nx + 2)])
+    for (i, j, _), v in zip(path[:-1], phi0_path[:-1]):
+        phi0[i, j] = v
+    phi1_left = np.array([np.dot(g(x[0], yj), (0.0, -1.0)) for yj in y])
+    phi1_right = np.array([np.dot(g(x[-1], yj), (0.0, 1.0)) for yj in y])
+    phi1_bottom = np.array([np.dot(g(xi, y[0]), (1.0, 0.0)) for xi in x])
+    phi1_top = np.array([np.dot(g(xi, y[-1]), (-1.0, 0.0)) for xi in x])
     return BoundaryData(phi0, phi1_left, phi1_right, phi1_bottom, phi1_top,
                         float(c0), flux)
 
@@ -210,45 +208,48 @@ class StationarySolution:
 
 # ------------------------------------------------------- operator assembly
 
-def _mats_1d(n, h, n_cols):
-    """Identity/second-difference/first-difference stencil matrices whose
-    row r is centered at column r + 1 of an (n_cols)-point line."""
-    rows = np.arange(n)
-    eye = sp.csr_matrix((np.ones(n), (rows, rows + 1)), shape=(n, n_cols))
-    s = sp.csr_matrix(
-        (
-            np.concatenate([np.full(n, 1.0), np.full(n, -2.0), np.full(n, 1.0)]) / h**2,
-            (np.tile(rows, 3), np.concatenate([rows, rows + 1, rows + 2])),
-        ),
-        shape=(n, n_cols),
-    )
-    f = sp.csr_matrix(
-        (
-            np.concatenate([np.full(n, -1.0), np.full(n, 1.0)]) / (2.0 * h),
-            (np.tile(rows, 2), np.concatenate([rows, rows + 2])),
-        ),
-        shape=(n, n_cols),
-    )
-    return eye, s, f
+# B = d22 - d11 and T = 2 d12 as weight tables: offset (di, dj) -> weight,
+# times 1/h^2.  Both the assembled matrix and the matrix-free operator
+# read these two tables.
+_B = {(-1, 0): -1.0, (1, 0): -1.0, (0, -1): 1.0, (0, 1): 1.0}
+_T = {(-1, -1): 0.5, (1, 1): 0.5, (-1, 1): -0.5, (1, -1): -0.5}
 
 
-@lru_cache(maxsize=8)
-def _stencil_pair(domain: RectDomain):
-    """(B, T) as sparse maps extended -> mid and mid -> interior.
+def _stencil(a, weights, h):
+    """Apply a weight table to an array: (m+2, n+2) -> (m, n)."""
+    m, n = a.shape[0] - 2, a.shape[1] - 2
+    out = np.zeros((m, n))
+    for (di, dj), w in weights.items():
+        out += w * a[1 + di:1 + di + m, 1 + dj:1 + dj + n]
+    return out / h**2
 
-    Cached per domain: callers share the returned matrices and must
-    never modify them in place.
+
+def _assemble(domain: RectDomain, mu, *terms) -> sp.csr_matrix:
+    """Sum of sign * outer(mu * inner(.)) over (sign, outer, inner) terms,
+    as a CSR map extended -> interior.
+
+    Row (i, j) couples the 25 extended nodes within two cells of its own:
+    outer offset o and inner offset p land on o + p, with mu taken at
+    the mid node o away from the row's node.
     """
     nx, ny, h = domain.nx, domain.ny, domain.h
-    ei_x, s_in_x, f_in_x = _mats_1d(nx + 2, h, nx + 4)
-    ei_y, s_in_y, f_in_y = _mats_1d(ny + 2, h, ny + 4)
-    b_in = sp.kron(ei_x, s_in_y) - sp.kron(s_in_x, ei_y)
-    t_in = 2.0 * sp.kron(f_in_x, f_in_y)
-    eo_x, s_out_x, f_out_x = _mats_1d(nx, h, nx + 2)
-    eo_y, s_out_y, f_out_y = _mats_1d(ny, h, ny + 2)
-    b_out = sp.kron(eo_x, s_out_y) - sp.kron(s_out_x, eo_y)
-    t_out = 2.0 * sp.kron(f_out_x, f_out_y)
-    return (b_in.tocsr(), t_in.tocsr()), (b_out.tocsr(), t_out.tocsr())
+    vals = np.zeros((nx, ny, 5, 5))
+    for sign, outer, inner in terms:
+        for (oi, oj), wo in outer.items():
+            m = (sign * wo) * mu[1 + oi:1 + oi + nx, 1 + oj:1 + oj + ny]
+            for (pi, pj), wi in inner.items():
+                vals[:, :, 2 + oi + pi, 2 + oj + pj] += wi * m
+    width = ny + 4
+    # extended-grid index of each row's 5x5 window corner, offset (-2, -2)
+    corner = np.arange(nx)[:, None] * width + np.arange(ny)
+    offsets = np.arange(5)[:, None] * width + np.arange(5)
+    cols = (corner[:, :, None, None] + offsets).ravel()
+    mat = sp.csr_matrix(
+        (vals.ravel() / h**4, cols, np.arange(0, 25 * nx * ny + 1, 25)),
+        shape=(nx * ny, (nx + 4) * width),
+    )
+    mat.eliminate_zeros()
+    return mat
 
 
 def assemble_L(domain: RectDomain, mu_e) -> sp.csr_matrix:
@@ -261,9 +262,7 @@ def assemble_L(domain: RectDomain, mu_e) -> sp.csr_matrix:
     mu = np.asarray(mu_e, dtype=float).ravel()
     if mu.shape != ((domain.nx + 2) * (domain.ny + 2),):
         raise ValueError("mu_e must be sampled on the mid grid")
-    (b_in, t_in), (b_out, t_out) = _stencil_pair(domain)
-    m = sp.diags(mu)
-    return (b_out @ m @ b_in + t_out @ m @ t_in).tocsr()
+    return _assemble(domain, mu.reshape(domain.nx + 2, -1), (1.0, _B, _B), (1.0, _T, _T))
 
 
 def assemble_A(domain: RectDomain, mu_o) -> sp.csr_matrix:
@@ -275,11 +274,7 @@ def assemble_A(domain: RectDomain, mu_o) -> sp.csr_matrix:
     mu = np.asarray(mu_o, dtype=float).ravel()
     if mu.shape != ((domain.nx + 2) * (domain.ny + 2),):
         raise ValueError("mu_o must be sampled on the mid grid")
-    (b_in, t_in), (b_out, t_out) = _stencil_pair(domain)
-    m = sp.diags(mu)
-    a = (b_out @ m @ t_in - t_out @ m @ b_in).tocsr()
-    a.eliminate_zeros()
-    return a
+    return _assemble(domain, mu.reshape(domain.nx + 2, -1), (1.0, _B, _T), (-1.0, _T, _B))
 
 
 def clamped_embedding(domain: RectDomain, bdry: BoundaryData):
@@ -363,18 +358,6 @@ def _mid_derivs(domain: RectDomain, phi_ext):
     return d1, d2
 
 
-def _int_d11(a, h):
-    return (a[2:, 1:-1] - 2.0 * a[1:-1, 1:-1] + a[:-2, 1:-1]) / h**2
-
-
-def _int_d22(a, h):
-    return (a[1:-1, 2:] - 2.0 * a[1:-1, 1:-1] + a[1:-1, :-2]) / h**2
-
-
-def _int_d12(a, h):
-    return (a[2:, 2:] - a[2:, :-2] - a[:-2, 2:] + a[:-2, :-2]) / (4.0 * h**2)
-
-
 def nonlinear_rhs(domain: RectDomain, phi_ext, eta: EtaFunction,
                   force1, force2) -> np.ndarray:
     """Right side -curl f + curl div(eta(phi) w (x) w), w = perp-grad phi.
@@ -391,7 +374,7 @@ def nonlinear_rhs(domain: RectDomain, phi_ext, eta: EtaFunction,
     k11 = rho * w1 * w1
     k12 = rho * w1 * w2
     k22 = rho * w2 * w2
-    conv = _int_d11(k12, h) - _int_d22(k12, h) + _int_d12(k22 - k11, h)
+    conv = 0.5 * _stencil(k22 - k11, _T, h) - _stencil(k12, _B, h)
     curl_f = (
         (force2[2:, 1:-1] - force2[:-2, 1:-1])
         - (force1[1:-1, 2:] - force1[1:-1, :-2])
@@ -415,14 +398,12 @@ def _apply_operator(domain, mu_e, mu_o, phi_ext):
     """(L[mu_e] + A[mu_o]) phi_ext on the interior, without a matrix.
 
     With b, t = B phi, T phi on the mid grid, the operator is
-    B(mu_e b + mu_o t) + T(mu_e t - mu_o b): the stencils of
-    `assemble_L` and `assemble_A` applied to arrays.
+    B(mu_e b + mu_o t) + T(mu_e t - mu_o b): the weight tables _B and _T
+    that `assemble_L` and `assemble_A` compose, applied to arrays.
     """
     h = domain.h
     b, t = _mid_b_t(domain, phi_ext)
-    p = mu_e * b + mu_o * t
-    q = mu_e * t - mu_o * b
-    return _int_d22(p, h) - _int_d11(p, h) + 2.0 * _int_d12(q, h)
+    return _stencil(mu_e * b + mu_o * t, _B, h) + _stencil(mu_e * t - mu_o * b, _T, h)
 
 
 _ANDERSON_DEPTH = 3
@@ -509,23 +490,11 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
     )
 
 
-def recover_velocity(sol: StationarySolution):
-    """(rho, u) = (eta(phi), perp-grad phi) together with div u interior max."""
-    dom = sol.domain
-    h = dom.h
-    div = (
-        (sol.u1[2:, 1:-1] - sol.u1[:-2, 1:-1])
-        + (sol.u2[1:-1, 2:] - sol.u2[1:-1, :-2])
-    ) / (2.0 * h)
-    return sol.rho, (sol.u1, sol.u2), float(np.max(np.abs(div)))
-
-
 # -------------------------------------------------------- weak-form check
 
 def _mid_b_t(domain, a_ext):
     """B and T of an extended-grid function, evaluated on the mid grid."""
-    h = domain.h
-    return _int_d22(a_ext, h) - _int_d11(a_ext, h), 2.0 * _int_d12(a_ext, h)
+    return _stencil(a_ext, _B, domain.h), _stencil(a_ext, _T, domain.h)
 
 
 def _clamped_extend(domain, psi_mid):
@@ -570,15 +539,10 @@ def residual_weak_stationary(sol: StationarySolution,
         psi_ext = _clamped_extend(dom, psi)
         bpsi, tpsi = _mid_b_t(dom, psi_ext)
         d1psi, d2psi = _mid_derivs(dom, psi_ext)
-        d11, d22, d12 = _int_d11(psi_ext, h), _int_d22(psi_ext, h), _int_d12(psi_ext, h)
         lhs = np.sum(me * (bphi * bpsi + tphi * tpsi)) * h * h
         lhs += np.sum(mo * (tphi * bpsi - bphi * tpsi)) * h * h
-        # grad(perp-grad psi) entries: rows are the gradient index
-        conv = np.sum(
-            rho * (
-                w1 * w1 * (-d12) + w1 * w2 * d11 + w2 * w1 * (-d22) + w2 * w2 * d12
-            )
-        ) * h * h
+        # (w (x) w) : grad(perp-grad psi) = 1/2 (w2^2 - w1^2) T psi - w1 w2 B psi
+        conv = np.sum(rho * (0.5 * (w2 * w2 - w1 * w1) * tpsi - w1 * w2 * bpsi)) * h * h
         frc = np.sum(
             problem.force1 * (-d2psi) + problem.force2 * d1psi
         ) * h * h

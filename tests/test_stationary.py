@@ -11,18 +11,15 @@ from oddflow.stationary import (
     RectDomain,
     StationaryProblem,
     _apply_operator,
-    _stencil_pair,
     assemble_A,
     assemble_L,
     boundary_data_from_g,
     clamped_embedding,
     ellipticity_check,
     eta_affine,
-    eta_table,
     homogeneous_boundary,
     nonlinear_rhs,
     picard_solve,
-    recover_velocity,
     residual_weak_stationary,
 )
 from oddflow.viscosity import DensityBounds, make_law
@@ -35,6 +32,13 @@ def test_domain_validation():
         RectDomain(16, 16, 1.0, 2.0)  # non-square cells
     dom = RectDomain(15, 31, 1.0, 2.0)
     assert dom.h == pytest.approx(1.0 / 16.0)
+
+
+def eta_table(s_nodes, values, rho_max):
+    """Piecewise-linear eta through (s_nodes, values), constant outside."""
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    return EtaFunction(lambda s: np.interp(s, s_nodes, values), rho_max)
 
 
 def test_eta_validation_and_tables():
@@ -101,32 +105,6 @@ def test_even_form_is_symmetric_for_interior_fields():
     assert abs(f1 - f2) / max(abs(f1), 1.0) < 1e-10
 
 
-def test_stencil_cache_is_keyed_by_domain():
-    (b15, _), _ = _stencil_pair(RectDomain(15, 15))
-    (b31, _), _ = _stencil_pair(RectDomain(31, 31))
-    assert b15.shape == (17 * 17, 19 * 19)
-    assert b31.shape == (33 * 33, 35 * 35)
-    assert _stencil_pair(RectDomain(15, 15))[0][0] is b15
-
-
-def test_assembly_equals_uncached_assembly():
-    # the cached stencils give the same matrix as freshly built ones, and
-    # assembling does not modify them
-    dom = RectDomain(20, 20)
-    xm, ym = dom.mid_coords()
-    mu = 1.0 + 0.4 * np.cos(2.0 * np.pi * (xm + ym))
-    fresh = _stencil_pair.__wrapped__(dom)
-    (b_in, t_in), (b_out, t_out) = fresh
-    m = sp.diags(mu.ravel())
-    uncached = (b_out @ m @ b_in + t_out @ m @ t_in).tocsr()
-    for _ in range(2):
-        ell = assemble_L(dom, mu)
-        assert ell.shape == uncached.shape and (ell != uncached).nnz == 0
-        assemble_A(dom, mu)
-    for cached, built in zip(sum(_stencil_pair(dom), ()), sum(fresh, ())):
-        assert (cached != built).nnz == 0
-
-
 def test_stencil_application_equals_assembled_operator():
     # the chord defect applies L[mu_e] + A[mu_o] by stencils; it must be
     # the assembled matrix's product, ghost ring included, and keep the
@@ -141,8 +119,14 @@ def test_stencil_application_equals_assembled_operator():
     assert image.shape == (15, 23)
     scale = np.max(np.abs(assembled))
     assert np.max(np.abs(image.ravel() - assembled)) <= 1e-12 * scale
-    odd = _apply_operator(dom, np.zeros_like(me), np.full_like(mo, 0.7), phi_ext)
-    even = _apply_operator(dom, me, np.zeros_like(mo), phi_ext)
+    # each operator alone, with the other coefficient zero
+    zero = np.zeros_like(me)
+    for mat, applied in ((assemble_L(dom, me), _apply_operator(dom, me, zero, phi_ext)),
+                         (assemble_A(dom, mo), _apply_operator(dom, zero, mo, phi_ext))):
+        assembled = mat @ phi_ext.ravel()
+        assert np.max(np.abs(applied.ravel() - assembled)) <= 1e-12 * np.max(np.abs(assembled))
+    odd = _apply_operator(dom, zero, np.full_like(mo, 0.7), phi_ext)
+    even = _apply_operator(dom, me, zero, phi_ext)
     assert np.max(np.abs(odd)) <= 1e-12 * np.max(np.abs(even))
 
 
@@ -211,6 +195,25 @@ def test_boundary_data_tangential_field():
     assert np.allclose(bd.phi1_left, -np.pi * np.sin(np.pi * xb))
     ring = np.concatenate([bd.phi0[0], bd.phi0[-1], bd.phi0[:, 0], bd.phi0[:, -1]])
     assert np.allclose(ring, 1.0)
+
+
+def test_boundary_data_corners_belong_to_one_side():
+    # tangential speeds 1, 2, 3, 4 on the bottom, right, top and left
+    # sides; each corner belongs to the side that owns it in the
+    # counterclockwise walk, at every size (at n = 48 and 97, (n + 1) * h
+    # is not 1, and g saw the corners (0, 1) and (1, 1) off the top and
+    # right sides)
+    def g(x, y):
+        if y == 0.0:
+            return (1.0, 0.0)
+        if x == 1.0:
+            return (0.0, 2.0)
+        return (-3.0, 0.0) if y == 1.0 else (0.0, -4.0)
+
+    for n in (46, 48, 50, 97):
+        bd = boundary_data_from_g(RectDomain(n, n), g)
+        assert (bd.phi1_left[-1], bd.phi1_top[-1]) == (0.0, 0.0)
+        assert (bd.phi1_right[-1], bd.phi1_bottom[-1]) == (2.0, 1.0)
 
 
 def test_boundary_data_rejects_net_flux():
@@ -451,6 +454,16 @@ def test_manufactured_solution_second_order():
     errs = [_mms.solve_error(nx)[0] for nx in (15, 31)]
     order = np.log2(errs[0] / errs[1])
     assert order > 1.7
+
+
+def recover_velocity(sol):
+    """(rho, u) = (eta(phi), perp-grad phi) together with div u interior max."""
+    h = sol.domain.h
+    div = (
+        (sol.u1[2:, 1:-1] - sol.u1[:-2, 1:-1])
+        + (sol.u2[1:-1, 2:] - sol.u2[1:-1, :-2])
+    ) / (2.0 * h)
+    return sol.rho, (sol.u1, sol.u2), float(np.max(np.abs(div)))
 
 
 def test_recovered_velocity_is_divergence_free():
