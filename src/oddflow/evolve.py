@@ -61,8 +61,9 @@ class EvolveConfig:
     bounds: DensityBounds
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)
+                and self.dt > 0 and self.t_end > 0):
+            raise ValueError("dt and t_end must be finite and positive")
 
     @property
     def cutoff(self):
@@ -324,12 +325,36 @@ def _etd_weights(z):
     return em1 + 1.0, phi1, phi2
 
 
-def _warm_start(history):
-    """CG start from the earlier solutions in `history` (the last two at
-    most, newest last): none, the last one, or the extrapolation of both."""
+# points of the warm starts' extrapolation in time: cubic.  Over four
+# evolve-var-64 runs 2, 3, 4, 5 and 6 points took 1090, 867, 808, 831
+# and 853 CG iterations (ROADMAP, "Measured and rejected")
+_WARM_POINTS = 4
+
+
+def _warm_start(history, t):
+    """CG start for a solve at time `t` from the earlier solutions in
+    `history`, a list of (time, rfft2 coefficients) pairs, newest last:
+    None if it is empty, else the Lagrange extrapolation to `t` through
+    its last _WARM_POINTS entries at their actual times, so that CFL
+    steps and a clipped last step extrapolate consistently.  One entry
+    has the weight 1.0 and is returned as it is: `solve_pressure` copies
+    its start, and a copy here would raise a one-step run's peak memory."""
     if not history:
         return None
-    return history[-1] if len(history) == 1 else 2.0 * history[-1] - history[-2]
+    if len(history) == 1:
+        return history[0][1]
+    entries = history[-_WARM_POINTS:]
+    p0 = None
+    for i, (ti, qi) in enumerate(entries):
+        weight = 1.0
+        for j, (tj, _) in enumerate(entries):
+            if j != i:
+                weight *= (t - tj) / (ti - tj)
+        if p0 is None:
+            p0 = weight * qi
+        else:
+            p0 += weight * qi
+    return p0
 
 
 def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
@@ -343,7 +368,9 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     projection solves' CG statistics as ((iterations 1, iterations 2),
     (residual 1, residual 2)).  `warm` is a mutable dict reused across
     steps that holds the earlier solutions of the two projection solves
-    ("q1", "q2", as rfft2 coefficients), their warm starts.
+    ("q1" at the step's start time and "q2" at its end time, as (time,
+    rfft2 coefficients) pairs); each solve starts from their cubic
+    extrapolation to its own time (`_warm_start`).
     """
     grid = config.grid
     cutoff = config.cutoff
@@ -359,7 +386,7 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     u = np.stack((state.u.comp1, state.u.comp2))
     uhat = _rfft(u)
     g, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
-    k, q1, cg1 = _project_tendency(grid, rho0, g, p0=_warm_start(q1s))
+    k, q1, cg1 = _project_tendency(grid, rho0, g, p0=_warm_start(q1s, state.t))
     # the stiff part is -lam * uhat, lam = nu_s |k|^2; n0 is the rest of
     # the projected stage-1 tendency; the mode cutoff is folded into the
     # weights
@@ -375,10 +402,12 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     u = _irfft(grid, uhat)
     del g, k, decay, w1  # not needed in stage 2, whose right side is the peak
     g, _ = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
-    k, q2, cg2 = _project_tendency(grid, rho1, g, p0=_warm_start(q2s))
+    k, q2, cg2 = _project_tendency(grid, rho1, g, p0=_warm_start(q2s, state.t + dt))
     uhat += w2 * (_rfft(k) + lam * uhat - n0)
     del g, k, n0
-    q1s[:], q2s[:] = q1s[-1:] + [q1], q2s[-1:] + [q2]
+    q1s.append((state.t, q1))
+    q2s.append((state.t + dt, q2))
+    del q1s[:-_WARM_POINTS], q2s[:-_WARM_POINTS]
     return rho_new, _irfft(grid, uhat), q1, dissipation, tuple(zip(cg1, cg2))
 
 
@@ -399,14 +428,15 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     state's right side is evaluated once: the first stage of the step that
     starts from a state solves for its pressure and gives its dissipation
     rate, and only the final state has its own `recover_pressure`, warm
-    started from the earlier stage-1 solutions.  So a kept state's
-    pressure is its stage-1 solution, and the ledger entry of a state is
-    recorded once its rate is known; the ledger holds the initial state
-    and every step's.  A state that turns non-finite (an overflow) raises
-    BlowUpError naming the step and the time of the last finite state;
-    step 0 is the set-up before the loop, which checks that the initial
-    kinetic energy is finite.  So does a CFL step below _DT_FLOOR of
-    config.dt, which a growing state reaches long before it overflows.
+    started from the cubic extrapolation of the earlier stage-1 solutions
+    to its time.  So a kept state's pressure is its stage-1 solution, and
+    the ledger entry of a state is recorded once its rate is known; the
+    ledger holds the initial state and every step's.  A state that turns
+    non-finite (an overflow) raises BlowUpError naming the step and the
+    time of the last finite state; step 0 is the set-up before the loop,
+    which checks that the initial kinetic energy is finite.  So does a
+    CFL step below _DT_FLOOR of config.dt, which a growing state reaches
+    long before it overflows.
     """
     k, state = 0, None
     try:
@@ -461,7 +491,7 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
         u = np.stack((state.u.comp1, state.u.comp2))
         qhat, dissipation = recover_pressure(
             grid, law, state.rho.values, u, _rfft(u), force(state.t) if force else None,
-            config.cutoff, p0=_warm_start(warm.get("q1")))
+            config.cutoff, p0=_warm_start(warm.get("q1"), state.t))
         states.append(replace(state, pressure=ScalarField(grid, _irfft(grid, qhat))))
         record(state, dissipation)
     except NonFiniteError as e:

@@ -30,6 +30,7 @@ stencil application of the operator and one triangular solve.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -69,16 +70,19 @@ class RectDomain:
     def h(self):
         return self.lx / (self.nx + 1)
 
+    def _mid_axes(self):
+        # linspace puts the far boundary at exactly lx (ly); i * h can round it
+        return (np.linspace(0.0, self.lx, self.nx + 2),
+                np.linspace(0.0, self.ly, self.ny + 2))
+
     def mid_coords(self):
         """Coordinates of all non-ghost nodes (boundary included)."""
-        x = np.arange(self.nx + 2) * self.h
-        y = np.arange(self.ny + 2) * self.h
-        return np.meshgrid(x, y, indexing="ij")
+        return np.meshgrid(*self._mid_axes(), indexing="ij")
 
     def ext_coords(self):
-        """Coordinates of the extended grid (one ghost ring)."""
-        x = (np.arange(self.nx + 4) - 1.0) * self.h
-        y = (np.arange(self.ny + 4) - 1.0) * self.h
+        """Coordinates of the extended grid: the mid nodes and one ghost ring."""
+        h = self.h
+        x, y = (np.concatenate(([-h], a, [a[-1] + h])) for a in self._mid_axes())
         return np.meshgrid(x, y, indexing="ij")
 
 
@@ -142,8 +146,7 @@ def boundary_data_from_g(domain: RectDomain, g, c0=0.0) -> BoundaryData:
     nx, ny, h = domain.nx, domain.ny, domain.h
     # node coordinates with exact end points, so that g sees the corners
     # at (lx, ly) and not at a rounded (nx+1) * h
-    x = np.linspace(0.0, domain.lx, nx + 2).tolist()
-    y = np.linspace(0.0, domain.ly, ny + 2).tolist()
+    x, y = (a.tolist() for a in domain._mid_axes())
     # counterclockwise node walk: bottom, right, top, left, back to start
     path = []
     for i in range(nx + 2):
@@ -438,6 +441,10 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     dom = problem.domain
     nx, ny, h = dom.nx, dom.ny, dom.h
     emb, shift = clamped_embedding(dom, problem.boundary)

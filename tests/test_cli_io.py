@@ -159,6 +159,10 @@ def test_evolve_rejects_bad_config(tmp_path, capsys):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
     cfg = _write(tmp_path / "neg.cfg", "n = 16\ndt = -1e-3\nt_end = 0.05\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    # a nan step is an input error, not a state turned non-finite
+    cfg = _write(tmp_path / "nan.cfg", "n = 16\ndt = nan\nt_end = 0.01\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "finite and positive" in capsys.readouterr().err
     # the command writes the final state alone, so it keeps no others
     cfg = _write(tmp_path / "store.cfg", "n = 16\ndt = 5e-3\nt_end = 0.05\nstore_every = 1\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -224,6 +228,13 @@ def test_stationary_rejects_net_flux_boundary(tmp_path):
     bdry = _write(tmp_path / "b.cfg", "bottom_n = 1.0\n")
     cfg = _write(tmp_path / "s.cfg", f"n = 16\nboundary_file = {bdry}\n")
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_stationary_rejects_bad_tol_and_max_iter(tmp_path, capsys):
+    for key, value in (("max_iter", "0"), ("tol", "nan"), ("tol", "inf")):
+        cfg = _write(tmp_path / "s.cfg", f"n = 16\n{key} = {value}\n")
+        assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_stationary_reports_nonconvergence(tmp_path):

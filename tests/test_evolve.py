@@ -61,6 +61,12 @@ def test_config_validation():
     g = Grid2D(16, 16)
     with pytest.raises(ValueError):
         make_config(g, -0.1, 1.0)
+    # a nan step would fail as a non-finite state, an infinite t_end never ends
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_config(g, bad, 1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_config(g, 1e-3, bad)
 
 
 def test_initial_data_validation():
@@ -436,6 +442,46 @@ def test_ledger_records_the_cg_solves_of_every_step():
                zip(ledger.cg_iterations, ledger.cg_residual))
     iterations = np.array(ledger.cg_iterations)
     assert np.mean(iterations) <= 6
+    assert np.all(np.array(ledger.cg_residual) <= 1e-10)
+
+
+def test_warm_start_extrapolates_the_last_four_solutions_in_time():
+    rng = np.random.default_rng(36)
+    a, b, c, d = (rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+                  for _ in range(4))
+
+    def q(t):
+        return a + t * (b + t * (c + t * d))
+
+    def rel(p, exact):
+        return np.max(np.abs(p - exact)) / np.max(np.abs(exact))
+
+    # unequal steps, the last one clipped short; an older, fifth entry
+    # must not enter the cubic
+    times = [0.0, 0.3, 0.9, 1.4, 2.0, 2.1]
+    history = [(times[0], np.full((8, 5), np.nan + 0j))] + [(t, q(t)) for t in times[1:]]
+    for t in (2.1, 2.6, 2.9):
+        assert rel(evolve._warm_start(history, t), q(t)) <= 1e-12
+    # fewer entries: the entry itself, the line and the parabola through them
+    assert evolve._warm_start([], 1.0) is None
+    assert np.array_equal(evolve._warm_start(history[-1:], 2.6), q(2.1))
+    line = q(2.1) + (2.6 - 2.1) / (2.1 - 2.0) * (q(2.1) - q(2.0))
+    assert rel(evolve._warm_start(history[-2:], 2.6), line) <= 1e-12
+    parabola = [(t, a + t * (b + t * c)) for t in times[-3:]]
+    assert rel(evolve._warm_start(parabola, 2.6), a + 2.6 * (b + 2.6 * c)) <= 1e-12
+
+
+def test_cubic_warm_starts_keep_a_64_squared_solve_to_three_iterations():
+    # at dt 6e-4 the pressure is smooth in time, so the cubic extrapolation
+    # of the last four solutions leaves under 3.25 iterations a solve once
+    # the history is full (the linear extrapolation of the last two: 4.00)
+    g = Grid2D(64, 64)
+    data = InitialData(perturbed_density(g, seed=32),
+                       random_divfree_field(g, seed=33, cutoff=4))
+    cfg = make_config(g, 6e-4, 0.02, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+    _, ledger = run(cfg, data)
+    assert ledger.limit[-1] == "t_end"
+    assert np.mean(ledger.cg_iterations[4:]) <= 3.25
     assert np.all(np.array(ledger.cg_residual) <= 1e-10)
 
 

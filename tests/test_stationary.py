@@ -34,6 +34,17 @@ def test_domain_validation():
     assert dom.h == pytest.approx(1.0 / 16.0)
 
 
+def test_far_boundary_nodes_sit_exactly_on_the_boundary():
+    # at nx = 48, 49 * (1 / 49) rounds to 0.9999999999999999
+    dom = RectDomain(48, 48)
+    xm, ym = dom.mid_coords()
+    xe, ye = dom.ext_coords()
+    assert xm[-1, 0] == ym[0, -1] == xe[-2, 0] == ye[0, -2] == dom.lx
+    assert xm[0, 0] == xe[1, 0] == 0.0
+    assert np.array_equal(xe[1:-1, 1:-1], xm) and np.array_equal(ye[1:-1, 1:-1], ym)
+    assert xe[0, 0] == -dom.h and xe[-1, 0] == dom.lx + dom.h
+
+
 def eta_table(s_nodes, values, rho_max):
     """Piecewise-linear eta through (s_nodes, values), constant outside."""
     s_nodes = np.asarray(s_nodes, dtype=float)
@@ -335,6 +346,21 @@ def test_picard_rejects_bad_damping_and_reports_failure():
     with pytest.raises(PicardError) as exc:
         picard_solve(prob, max_iter=1)
     assert exc.value.last_update > 0.0
+
+
+@pytest.mark.parametrize("kwargs", [dict(tol=np.nan), dict(tol=np.inf), dict(max_iter=0)],
+                         ids=["tol-nan", "tol-inf", "max_iter-0"])
+def test_picard_rejects_bad_tol_and_max_iter_before_any_work(monkeypatch, kwargs):
+    # a nan tol never converges, an infinite one always does, and no
+    # iteration leaves no update to report
+    prob, _ = _mms.problem(15)
+
+    def no_work(*args):
+        raise AssertionError("picard_solve started work")
+
+    monkeypatch.setattr(stationary, "clamped_embedding", no_work)
+    with pytest.raises(ValueError):
+        picard_solve(prob, **kwargs)
 
 
 def test_picard_matches_tightened_damped_solve():
