@@ -146,7 +146,7 @@ def _initial_data(cfg, grid, bounds, seed):
         )
     elif kind == "random":
         w = random_divfree_field(grid, seed, cfg["velocity_cutoff"])
-        u0 = VectorField(grid, cfg["amplitude"] * w.comp1, cfg["amplitude"] * w.comp2)
+        u0 = VectorField(grid, *(cfg["amplitude"] * w.data))
     else:
         raise ConfigError(f"config key 'init_velocity': unknown value {kind!r}")
 
@@ -561,8 +561,7 @@ def _check_fielddump(seed):
         path = os.path.join(td, "x.odf")
         fio.write_field(path, fld, time=0.25)
         back, t = fio.read_field(path)
-    exact = (np.array_equal(back.comp1, fld.comp1)
-             and np.array_equal(back.comp2, fld.comp2) and t == 0.25)
+    exact = np.array_equal(back.data, fld.data) and t == 0.25
     return 0.0 if exact else 1.0, 0.5
 
 

@@ -64,6 +64,9 @@ class EvolveConfig:
         if not (math.isfinite(self.dt) and math.isfinite(self.t_end)
                 and self.dt > 0 and self.t_end > 0):
             raise ValueError("dt and t_end must be finite and positive")
+        # the law was checked on law.bounds only, and run checks rho0 on these
+        if self.bounds != self.law.bounds:
+            raise ValueError("bounds must equal the viscosity law's bounds")
 
     @property
     def cutoff(self):
@@ -173,11 +176,10 @@ def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
     phat *= mask
     # div of the stress rows (s11, s12) and (s12, s22)
     phat[2:4] = _div_hat(grid, phat[[[2, 3], [3, 4]]])
-    adv1, adv2, v1, v2 = _irfft(grid, phat[:4])
-    g = np.stack((-adv1 + v1 / rho, -adv2 + v2 / rho))
+    planes = _irfft(grid, phat[:4])  # the advection term, then div of the stress
+    g = planes[2:] / rho - planes[:2]
     if f is not None:
-        g[0] += f.comp1
-        g[1] += f.comp2
+        g += f.data
     return g, dissipation
 
 
@@ -303,7 +305,7 @@ def stable_dt(config: EvolveConfig, u: VectorField) -> float:
     smaller.  The viscous terms set no limit (see the module docstring)."""
     h = min(config.grid.h1, config.grid.h2)
     dt = config.dt
-    umax = max(np.max(np.abs(u.comp1)), np.max(np.abs(u.comp2)))
+    umax = np.max(np.abs(u.data))
     if umax > 0:
         dt = min(dt, _CFL * h / umax)
     return dt
@@ -362,15 +364,15 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     """One time step: density transport, projected ETDRK2 on the velocity
     with Galerkin mode truncation.
 
-    Returns the new density, the new velocity stack (2, n1, n2), the
-    stage-1 projection's solution q1 (rfft2 coefficients), which is the
-    pressure of `state`, the dissipation rate of `state`, and the two
-    projection solves' CG statistics as ((iterations 1, iterations 2),
-    (residual 1, residual 2)).  `warm` is a mutable dict reused across
-    steps that holds the earlier solutions of the two projection solves
-    ("q1" at the step's start time and "q2" at its end time, as (time,
-    rfft2 coefficients) pairs); each solve starts from their cubic
-    extrapolation to its own time (`_warm_start`).
+    Returns the new density and velocity fields, the stage-1 projection's
+    solution q1 (rfft2 coefficients), which is the pressure of `state`, the
+    dissipation rate of `state`, and the two projection solves' CG
+    statistics as ((iterations 1, iterations 2), (residual 1, residual 2)).
+    `warm` is a mutable dict reused across steps that holds the earlier
+    solutions of the two projection solves ("q1" at the step's start time
+    and "q2" at its end time, as (time, rfft2 coefficients) pairs); each
+    solve starts from their cubic extrapolation to its own time
+    (`_warm_start`).
     """
     grid = config.grid
     cutoff = config.cutoff
@@ -383,7 +385,7 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     rho1 = rho_new.values
     q1s, q2s = warm.setdefault("q1", []), warm.setdefault("q2", [])
 
-    u = np.stack((state.u.comp1, state.u.comp2))
+    u = state.u.data
     uhat = _rfft(u)
     g, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
     k, q1, cg1 = _project_tendency(grid, rho0, g, p0=_warm_start(q1s, state.t))
@@ -408,7 +410,8 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     q1s.append((state.t, q1))
     q2s.append((state.t + dt, q2))
     del q1s[:-_WARM_POINTS], q2s[:-_WARM_POINTS]
-    return rho_new, _irfft(grid, uhat), q1, dissipation, tuple(zip(cg1, cg2))
+    u_new = VectorField(grid, *_irfft(grid, uhat))
+    return rho_new, u_new, q1, dissipation, tuple(zip(cg1, cg2))
 
 
 def _kinetic(grid, rho, u):
@@ -448,7 +451,7 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
         def record(st, dissipation):
             # the entry of state `st`, whose dissipation rate is `dissipation`;
             # the trapezoids close the step that reached it
-            rho, u = st.rho.values, (st.u.comp1, st.u.comp2)
+            rho, u = st.rho.values, st.u.data
             rates = (dissipation, _work_rate(grid, rho, u, force(st.t) if force else None))
             if last:
                 half = 0.5 * ledger.dt[len(ledger.times) - 1]
@@ -465,7 +468,7 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
             ledger.mass.append(float(np.sum(rho) * grid.cell_area))
 
         state = SimulationState(0.0, data.rho0, data.u0)
-        if not math.isfinite(_kinetic(grid, data.rho0.values, (data.u0.comp1, data.u0.comp2))):
+        if not math.isfinite(_kinetic(grid, data.rho0.values, data.u0.data)):
             raise NonFiniteError("initial kinetic energy is not finite")
         states, warm = [], {}
         while state.t < config.t_end - 1e-14:
@@ -487,8 +490,8 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
             if k == 1 or (store_every and (k - 1) % store_every == 0):
                 states.append(replace(state, pressure=ScalarField(grid, _irfft(grid, q1))))
             record(state, dissipation)
-            state = SimulationState(state.t + dt, rho_new, VectorField(grid, *u))
-        u = np.stack((state.u.comp1, state.u.comp2))
+            state = SimulationState(state.t + dt, rho_new, u)
+        u = state.u.data
         qhat, dissipation = recover_pressure(
             grid, law, state.rho.values, u, _rfft(u), force(state.t) if force else None,
             config.cutoff, p0=_warm_start(warm.get("q1"), state.t))
@@ -589,8 +592,6 @@ def odd_limit_sweep(config: EvolveConfig, data: InitialData, eps_list, c0: float
     rows = []
     for eps in eps_list:
         u_eps = final_u(law_for(eps))
-        diff = VectorField(
-            config.grid, u_eps.comp1 - u_ref.comp1, u_eps.comp2 - u_ref.comp2
-        )
+        diff = VectorField(config.grid, *(u_eps.data - u_ref.data))
         rows.append((float(eps), norms(diff)["l2"]))
     return rows

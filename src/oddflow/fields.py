@@ -8,6 +8,12 @@ evolve solver transform through `_rfft`/`_irfft` (rfft2 layout,
 the same bits as `scipy.fft.rfft2`/`irfft2` on every even grid checked
 (all n1, n2 in 4..128, and n1 up to 514 against a few n2; numpy 2.4.6,
 scipy 1.17.1).
+
+A field stores its components as one (k, n1, n2) stack, `data`: one
+plane for a scalar, two for a vector, four for a tensor.  Every batched
+consumer reads that stack as it is (the transform pair here, the
+bicubic kernel, the evolve right side and the dump payload), so the
+layout is decided in this module alone.
 """
 
 from __future__ import annotations
@@ -20,11 +26,6 @@ import numpy as np
 
 class NonFiniteError(ValueError):
     """A field holds NaN or inf."""
-
-
-def _check_finite(name, a):
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"{name} contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,9 @@ class Grid2D:
         for n in (self.n1, self.n2):
             if n < 4 or n % 2 != 0:
                 raise ValueError("grid sizes must be even and >= 4")
-        if self.len1 <= 0 or self.len2 <= 0:
-            raise ValueError("periods must be positive")
+        # comparisons with nan are False: a nan period fails this test too
+        if not (0.0 < self.len1 < np.inf and 0.0 < self.len2 < np.inf):
+            raise ValueError("periods must be finite and positive")
 
     @property
     def h1(self):
@@ -68,51 +70,52 @@ class Grid2D:
         return np.meshgrid(m1, m2, indexing="ij")
 
 
-@dataclass(frozen=True)
-class ScalarField:
+@dataclass(frozen=True, init=False)
+class _Field:
+    """A field on `grid` whose k components, named in `components`, are
+    the planes of one (k, n1, n2) float stack `data`, which every batched
+    consumer reads as it is; the named attributes are views of those
+    planes.  The constructor copies the k components, given positionally,
+    into a new stack and checks each one's shape and finiteness."""
+
     grid: Grid2D
-    values: np.ndarray
+    data: np.ndarray
+    components = ()
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n1, self.grid.n2):
-            raise ValueError("values shape does not match grid")
-        _check_finite("scalar field", v)
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    grid: Grid2D
-    comp1: np.ndarray
-    comp2: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.n1, self.grid.n2)
-        for name in ("comp1", "comp2"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ValueError(f"{name} shape does not match grid")
-            _check_finite(name, a)
-            object.__setattr__(self, name, a)
+    def __init__(self, grid, *planes):
+        kind, names = type(self).__name__, self.components
+        if len(planes) != len(names):
+            raise TypeError(f"{kind} takes {len(names)} components "
+                            f"({', '.join(names)}), got {len(planes)}")
+        data = np.empty((len(names), grid.n1, grid.n2))
+        for name, plane, out in zip(names, planes, data):
+            a = np.asarray(plane, dtype=float)
+            if a.shape != out.shape:
+                raise ValueError(f"{kind}.{name} shape does not match grid")
+            if not np.all(np.isfinite(a)):
+                raise NonFiniteError(f"{kind}.{name} contains non-finite values")
+            out[...] = a
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "data", data)
 
 
-@dataclass(frozen=True)
-class TensorField:
-    grid: Grid2D
-    t11: np.ndarray
-    t12: np.ndarray
-    t21: np.ndarray
-    t22: np.ndarray
+class ScalarField(_Field):
+    components = ("values",)
+    values = property(lambda self: self.data[0])
 
-    def __post_init__(self):
-        shape = (self.grid.n1, self.grid.n2)
-        for name in ("t11", "t12", "t21", "t22"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ValueError(f"{name} shape does not match grid")
-            _check_finite(name, a)
-            object.__setattr__(self, name, a)
+
+class VectorField(_Field):
+    components = ("comp1", "comp2")
+    comp1 = property(lambda self: self.data[0])
+    comp2 = property(lambda self: self.data[1])
+
+
+class TensorField(_Field):
+    components = ("t11", "t12", "t21", "t22")
+    t11 = property(lambda self: self.data[0])
+    t12 = property(lambda self: self.data[1])
+    t21 = property(lambda self: self.data[2])
+    t22 = property(lambda self: self.data[3])
 
 
 @lru_cache(maxsize=32)
@@ -204,7 +207,7 @@ def _div_hat(grid, vhat):
 def _velocity_gradient(u: VectorField):
     """(d1 u1, d2 u1, d1 u2, d2 u2) as one (4, n1, n2) array, from one
     batched forward and one batched inverse transform."""
-    return _gradient_planes(u.grid, _rfft(np.stack((u.comp1, u.comp2))))
+    return _gradient_planes(u.grid, _rfft(u.data))
 
 
 def _gradient_planes(grid, vhat):
@@ -228,28 +231,25 @@ def perp_grad(s: ScalarField) -> VectorField:
 
 
 def divergence(v: VectorField) -> ScalarField:
-    vhat = _rfft(np.stack((v.comp1, v.comp2)))
+    vhat = _rfft(v.data)
     return ScalarField(v.grid, _irfft(v.grid, _div_hat(v.grid, vhat)))
 
 
 def curl2d(v: VectorField) -> ScalarField:
     """Scalar vorticity d1 v2 - d2 v1, the divergence of (v2, -v1)."""
-    vhat = _rfft(np.stack((v.comp2, -v.comp1)))
+    vhat = _rfft(v.data)[::-1]  # (v2, v1)
+    vhat[1] *= -1.0
     return ScalarField(v.grid, _irfft(v.grid, _div_hat(v.grid, vhat)))
 
 
 def norms(x) -> dict:
     """L2, Linf and homogeneous-H1 norms by trapezoid (= midpoint) quadrature."""
-    if isinstance(x, ScalarField):
-        comps = [x.values]
-    elif isinstance(x, VectorField):
-        comps = [x.comp1, x.comp2]
-    else:
+    if not isinstance(x, (ScalarField, VectorField)):
         raise TypeError("norms expects a ScalarField or VectorField")
-    grads = _gradient_planes(x.grid, _rfft(np.stack(comps)))
+    grads = _gradient_planes(x.grid, _rfft(x.data))
     da = x.grid.cell_area
-    l2 = np.sqrt(sum(np.sum(c * c) for c in comps) * da)
-    linf = max(np.max(np.abs(c)) for c in comps)
+    l2 = np.sqrt(np.sum(x.data * x.data) * da)
+    linf = np.max(np.abs(x.data))
     h1 = np.sqrt(np.sum(grads * grads) * da)
     return {"l2": float(l2), "linf": float(linf), "h1_semi": float(h1)}
 

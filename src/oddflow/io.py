@@ -22,7 +22,8 @@ KIND_VECTOR = 1
 KIND_TENSOR = 2
 
 _HEADER = struct.Struct("<4sBIIddd")
-_MULTIPLICITY = {KIND_SCALAR: 1, KIND_VECTOR: 2, KIND_TENSOR: 4}
+# a kind tag is its class's index here
+_KINDS = (ScalarField, VectorField, TensorField)
 _KIND_NAMES = {KIND_SCALAR: "scalar", KIND_VECTOR: "vector", KIND_TENSOR: "tensor"}
 
 
@@ -30,33 +31,16 @@ class FieldDumpError(ValueError):
     """Structured failure reading or writing a field dump."""
 
 
-def _kind_of(fld):
-    if isinstance(fld, ScalarField):
-        return KIND_SCALAR
-    if isinstance(fld, VectorField):
-        return KIND_VECTOR
-    if isinstance(fld, TensorField):
-        return KIND_TENSOR
-    raise FieldDumpError(f"unsupported field type {type(fld).__name__}")
-
-
-def _components(fld):
-    if isinstance(fld, ScalarField):
-        return [fld.values]
-    if isinstance(fld, VectorField):
-        return [fld.comp1, fld.comp2]
-    return [fld.t11, fld.t12, fld.t21, fld.t22]
-
-
 def write_field(path, fld, time=0.0):
     """Serialize a field to `path`; `time` is stored in the header."""
-    kind = _kind_of(fld)
+    if type(fld) not in _KINDS:
+        raise FieldDumpError(f"unsupported field type {type(fld).__name__}")
     g = fld.grid
-    header = _HEADER.pack(MAGIC, kind, g.n1, g.n2, g.len1, g.len2, float(time))
+    header = _HEADER.pack(MAGIC, _KINDS.index(type(fld)), g.n1, g.n2, g.len1, g.len2,
+                          float(time))
     with open(path, "wb") as fh:
         fh.write(header)
-        for comp in _components(fld):
-            fh.write(np.ascontiguousarray(comp, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(fld.data, dtype="<f8"))
 
 
 def read_field(path, expect_kind=None):
@@ -74,32 +58,22 @@ def read_field(path, expect_kind=None):
     magic, kind, n1, n2, len1, len2, time = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise FieldDumpError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if kind not in _MULTIPLICITY:
+    if kind >= len(_KINDS):
         raise FieldDumpError(f"unknown field kind tag {kind}")
     if expect_kind is not None and kind != expect_kind:
         raise FieldDumpError(
             f"kind mismatch: file holds {_KIND_NAMES[kind]}, "
             f"expected {_KIND_NAMES[expect_kind]}"
         )
-    mult = _MULTIPLICITY[kind]
-    expected = _HEADER.size + mult * n1 * n2 * 8
+    cls = _KINDS[kind]
+    expected = _HEADER.size + len(cls.components) * n1 * n2 * 8
     if len(raw) != expected:
         raise FieldDumpError(
             f"truncated payload: expected {expected} bytes, got {len(raw)}"
         )
     grid = Grid2D(n1, n2, len1, len2)
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    comps = [
-        flat[k * n1 * n2:(k + 1) * n1 * n2].reshape(n1, n2).astype(float)
-        for k in range(mult)
-    ]
-    if kind == KIND_SCALAR:
-        fld = ScalarField(grid, comps[0])
-    elif kind == KIND_VECTOR:
-        fld = VectorField(grid, comps[0], comps[1])
-    else:
-        fld = TensorField(grid, *comps)
-    return fld, float(time)
+    planes = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(-1, n1, n2)
+    return cls(grid, *planes), float(time)
 
 
 def write_csv(path, header, rows):

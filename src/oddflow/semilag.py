@@ -45,8 +45,7 @@ def departure_points(grid: Grid2D, u: VectorField, dt: float):
     x1, x2 = grid.coords()
     xm1 = x1 - 0.5 * dt * u.comp1
     xm2 = x2 - 0.5 * dt * u.comp2
-    um1, um2 = interp_bicubic(grid, np.stack((u.comp1, u.comp2)), xm1, xm2,
-                              clamp=False)
+    um1, um2 = interp_bicubic(grid, u.data, xm1, xm2, clamp=False)
     return x1 - dt * um1, x2 - dt * um2
 
 

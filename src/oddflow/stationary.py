@@ -61,6 +61,9 @@ class RectDomain:
     def __post_init__(self):
         if self.nx < 8 or self.ny < 8:
             raise ValueError("need at least 8 interior nodes per direction")
+        # comparisons with nan are False: a nan length fails this test too
+        if not (0.0 < self.lx < np.inf and 0.0 < self.ly < np.inf):
+            raise ValueError("domain lengths must be finite and positive")
         hx = self.lx / (self.nx + 1)
         hy = self.ly / (self.ny + 1)
         if abs(hx - hy) > 1e-12 * max(hx, hy):

@@ -123,17 +123,11 @@ def viscous_stress(law: ViscosityLaw, rho: ScalarField, u: VectorField) -> Tenso
     mo = law.mu_o(rho.values)
     s = strain_sym(u)
     o = strain_odd(u)
-    return TensorField(
-        u.grid,
-        me * s.t11 + mo * o.t11,
-        me * s.t12 + mo * o.t12,
-        me * s.t21 + mo * o.t21,
-        me * s.t22 + mo * o.t22,
-    )
+    return TensorField(u.grid, *(me * s.data + mo * o.data))
 
 
 def _frobenius(a: TensorField, b: TensorField) -> np.ndarray:
-    return a.t11 * b.t11 + a.t12 * b.t12 + a.t21 * b.t21 + a.t22 * b.t22
+    return np.sum(a.data * b.data, axis=0)
 
 
 def check_pointwise_cancellation(u: VectorField) -> float:

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oddflow.fields import Grid2D, ScalarField, TensorField, VectorField
 from oddflow.io import (
     FieldDumpError,
     KIND_SCALAR,
+    KIND_TENSOR,
     KIND_VECTOR,
     MAGIC,
     read_field,
@@ -42,6 +44,20 @@ def test_field_dump_roundtrip_bitwise(tmp_path):
         for a, b in zip(back.__dict__.values(), fld.__dict__.values()):
             if isinstance(a, np.ndarray):
                 assert np.array_equal(a, b)
+
+
+def test_field_dump_bytes_are_the_header_then_each_component(tmp_path):
+    # pinned apart from the reader, which a roundtrip checks only against
+    # the writer
+    names = (("values",), ("comp1", "comp2"), ("t11", "t12", "t21", "t22"))
+    kinds = (KIND_SCALAR, KIND_VECTOR, KIND_TENSOR)
+    for kind, comps, fld in zip(kinds, names, _sample_fields()):
+        path = tmp_path / f"f{kind}.odf"
+        write_field(path, fld, time=0.375)
+        g = fld.grid
+        expected = struct.pack("<4sBIIddd", b"ODF1", kind, g.n1, g.n2, g.len1, g.len2, 0.375)
+        expected += b"".join(getattr(fld, c).astype("<f8").tobytes() for c in comps)
+        assert path.read_bytes() == expected
 
 
 def test_field_dump_structured_errors(tmp_path):
@@ -168,6 +184,19 @@ def test_evolve_rejects_bad_config(tmp_path, capsys):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "unknown config key(s): store_every" in capsys.readouterr().err
 
+
+
+def test_non_finite_length_is_an_input_error(tmp_path, capsys):
+    # not a solver failure: a nan cell width made the stationary factor
+    # singular, and a zero evolve state's energy non-finite
+    for bad in ("nan", "inf"):
+        cfg = _write(tmp_path / "e.cfg", (
+            f"n = 16\ndt = 1e-2\nt_end = 0.05\nlength = {bad}\ninit_velocity = zero\n"))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        cfg = _write(tmp_path / "s.cfg", f"n = 16\nlength = {bad}\n")
+        assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

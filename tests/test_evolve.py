@@ -69,6 +69,16 @@ def test_config_validation():
             make_config(g, 1e-3, bad)
 
 
+def test_config_bounds_must_equal_the_law_bounds():
+    # the law keeps mu_e = 0.75 + 0.5 rho <= 1.5 on its own bounds only: at
+    # rho = 2.5, inside the config's wider bounds, mu_e = 2.0 > mu_upper
+    g = Grid2D(16, 16)
+    law = make_law("affine:0.75,0.5", "const:0.0", 0.5, 1.5, DensityBounds(0.5, 1.5))
+    with pytest.raises(ValueError, match="law's bounds"):
+        EvolveConfig(g, 1e-3, 1e-2, law, DensityBounds(0.5, 3.0))
+    EvolveConfig(g, 1e-3, 1e-2, law, DensityBounds(0.5, 1.5))  # equal by value
+
+
 def test_initial_data_validation():
     g = Grid2D(16, 16)
     bounds = DensityBounds(0.9, 1.1)

@@ -6,6 +6,7 @@ from _spectral import inv_laplacian, leray_project
 from oddflow.fields import (
     Grid2D,
     ScalarField,
+    TensorField,
     VectorField,
     _div_hat,
     _grad_hat,
@@ -46,6 +47,41 @@ def test_field_shape_and_finite_checks():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         ScalarField(g, bad)
+
+
+def test_grid_rejects_non_finite_periods():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Grid2D(8, 8, len1=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            Grid2D(8, 8, len2=bad)
+
+
+def test_fields_store_their_components_as_one_stack():
+    g = Grid2D(8, 6)
+    planes = np.random.default_rng(1).standard_normal((5, 8, 6))
+    for cls, names in ((ScalarField, ("values",)), (VectorField, ("comp1", "comp2")),
+                       (TensorField, ("t11", "t12", "t21", "t22"))):
+        k = len(names)
+        f = cls(g, *planes[:k])
+        assert f.data.shape == (k, 8, 6)
+        assert np.array_equal(f.data, planes[:k])
+        assert not np.shares_memory(f.data, planes)  # the field holds a copy
+        for name, plane in zip(names, planes):
+            assert np.shares_memory(getattr(f, name), f.data)
+            assert np.array_equal(getattr(f, name), plane)
+        for count in (k - 1, k + 1):
+            with pytest.raises(TypeError, match=f"takes {k} components"):
+                cls(g, *planes[:count])
+        # a bad component is named, wherever it sits in the stack
+        bad = list(planes[:k])
+        bad[-1] = np.zeros((8, 4))
+        with pytest.raises(ValueError, match=f"{names[-1]} shape does not match grid"):
+            cls(g, *bad)
+        bad[-1] = planes[0].copy()
+        bad[-1][2, 3] = np.inf
+        with pytest.raises(ValueError, match=f"{names[-1]} contains non-finite values"):
+            cls(g, *bad)
 
 
 def test_spectral_gradient_exact_for_band_limited():

@@ -34,6 +34,13 @@ def test_domain_validation():
     assert dom.h == pytest.approx(1.0 / 16.0)
 
 
+def test_domain_rejects_non_finite_or_negative_lengths():
+    # nan and equal negative lengths both pass the square-cell test
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RectDomain(16, 16, bad, bad)
+
+
 def test_far_boundary_nodes_sit_exactly_on_the_boundary():
     # at nx = 48, 49 * (1 / 49) rounds to 0.9999999999999999
     dom = RectDomain(48, 48)
