@@ -55,12 +55,16 @@ def advect_scalar(s: ScalarField, u: VectorField, dt: float) -> ScalarField:
     Clamped interpolation keeps the output inside [min s, max s] exactly,
     with no global clip: each value lies between the min and max of its
     own 2x2 nodes.  A conservative fix then restores the grid integral
-    while staying inside those bounds.
+    while staying inside those bounds.  So a constant `s` comes back
+    bitwise unchanged, and is returned as it is, with no departure points
+    and no interpolation.
     """
+    lo, hi = float(np.min(s.values)), float(np.max(s.values))
+    if lo == hi:
+        return s
     grid = s.grid
     d1, d2 = departure_points(grid, u, dt)
     vals = interp_bicubic(grid, s.values, d1, d2, clamp=True)
-    lo, hi = float(np.min(s.values)), float(np.max(s.values))
     return ScalarField(grid, _restore_mass(vals, float(np.sum(s.values)), lo, hi))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _spectral import inv_laplacian
-from oddflow import evolve
+from oddflow import evolve, semilag
 from oddflow.cli import _steady_shear_defects
 from oddflow.evolve import (  # noqa: the weak-form test field gets an alias
     BlowUpError,
@@ -229,7 +229,7 @@ def pressure_problem(seed):
     return g, rho, src
 
 
-def test_spectral_cg_constant_density_matches_inv_laplacian():
+def test_spectral_cg_constant_density_matches_inv_laplacian(monkeypatch):
     g, _, src = pressure_problem(20)
     rho = np.full((g.n1, g.n2), 1.3)
     phat, iterations, _ = solve_pressure(g, rho, _rfft(src), tol=1e-12)
@@ -240,6 +240,12 @@ def test_spectral_cg_constant_density_matches_inv_laplacian():
     # the two Laplacian symbols differ only on the Nyquist modes
     want = 1.3 * inv_laplacian(ScalarField(g, src)).values
     assert np.max(np.abs(p - want)) < 1e-12 * np.max(np.abs(want))
+    # the warm start is dropped: a cold start is one operator application,
+    # one inverse transform, where the warm start's residual costs a second
+    inverse = _count_calls(monkeypatch, "_irfft")
+    warm, iterations, _ = solve_pressure(g, rho, _rfft(src), tol=1e-12, p0=1.01 * phat)
+    assert iterations == 1 and len(inverse) == 1
+    assert np.array_equal(warm, phat)
 
 
 def test_spectral_cg_physical_residual_meets_tol():
@@ -495,16 +501,38 @@ def test_cubic_warm_starts_keep_a_64_squared_solve_to_three_iterations():
     assert np.all(np.array(ledger.cg_residual) <= 1e-10)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=evolve):
     calls = []
-    inner = getattr(evolve, name)
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(evolve, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_constant_density_run_takes_the_exact_path(monkeypatch):
+    # a constant density is transported with no interpolation and stays
+    # bitwise constant; one ulp more at one node takes the general path:
+    # the departure points' and the density's interpolation each step
+    g = Grid2D(16, 16)
+    cfg = make_config(g, 2e-3, 0.01, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
+    rho0 = np.full((16, 16), 1.1)
+    u0 = random_divfree_field(g, seed=36, cutoff=4)
+    interp = _count_calls(monkeypatch, "interp_bicubic", semilag)
+    states, ledger = run(cfg, InitialData(ScalarField(g, rho0), u0), store_every=1)
+    assert len(ledger.dt) == 5 and len(states) == 6
+    for st in states:
+        assert np.array_equal(st.rho.values, rho0)
+    for series in (ledger.mass, ledger.rho_min, ledger.rho_max):
+        assert len(set(series)) == 1
+    assert interp == []
+    bumped = rho0.copy()
+    bumped[3, 7] = np.nextafter(1.1, 2.0)
+    _, ledger = run(cfg, InitialData(ScalarField(g, bumped), u0))
+    assert len(interp) == 2 * len(ledger.dt) == 10
 
 
 def test_run_evaluates_each_state_once(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oddflow import _semilag_np
+from oddflow import _semilag_np, semilag
 from oddflow.fields import Grid2D, ScalarField, VectorField, perp_grad, random_scalar_field
 from oddflow.semilag import (
     advect_scalar,
@@ -332,13 +332,38 @@ def test_advection_bounds_and_mass():
     assert abs(np.sum(cur.values) - mass0) <= 1e-9 * abs(mass0)
 
 
-def test_constant_field_is_invariant():
+def test_constant_field_is_invariant(monkeypatch):
+    # a constant is returned as it is, with no interpolation
     g = Grid2D(32, 32)
     psi = random_scalar_field(g, seed=5, cutoff=4)
     u = perp_grad(psi)
     c = ScalarField(g, np.full((32, 32), 0.8))
+    calls = []
+    inner = semilag.interp_bicubic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(semilag, "interp_bicubic", counted)
     out = advect_scalar(c, u, 0.05)
-    assert np.max(np.abs(out.values - 0.8)) < 1e-14
+    assert np.array_equal(out.values, c.values)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 256])
+def test_transport_of_a_constant_is_exact(n):
+    # the shortcut for a constant gives the general path's bits: a clamped
+    # value lies between the min and max of its own 2x2 nodes, and the
+    # mass fix then finds no defect
+    g = Grid2D(n, n)
+    u = perp_grad(random_scalar_field(g, seed=n, cutoff=4))
+    u = VectorField(g, *(5.0 * u.data))
+    d1, d2 = departure_points(g, u, 0.05)
+    for value in (0.1 + 0.2, 0.8, 1.0, 1.3, 7.25e-3):
+        c = np.full((n, n), value)
+        vals = interp_bicubic(g, c, d1, d2, clamp=True)
+        assert np.array_equal(semilag._restore_mass(vals, float(np.sum(c)), value, value), c)
 
 
 def test_translation_oracle():
