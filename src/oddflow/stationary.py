@@ -20,12 +20,18 @@ vanishes identically (the stencils commute), mirroring the continuous
 cancellation.
 
 The nonlinearity is handled by Anderson-accelerated chord iteration,
-depth 3, mixing factor `damping`: the frozen-coefficient matrix of the
-first iterate is factorized once (SuperLU on a minimum-degree ordering
-of A^T + A) and its factors precondition the defect of every later
-iterate.  The defect needs only the operator's action, which the same
-weight tables apply without a matrix, so each further map costs one
-stencil application of the operator and one triangular solve.
+depth 3, mixing factor `damping`: the frozen-coefficient operator of the
+first iterate is set up once and preconditions the defect of every later
+iterate.  When that first map has constant coefficients (always so for
+phi0 = 0 boundary data, as in the manufactured problem and the
+tangential wall flows), A vanishes and the operator is a multiple of
+the clamped discrete biharmonic, which a DST-I solve with a capacitance
+correction on the first interior layer inverts exactly with no matrix
+(`_clamped_biharmonic_solver`).  A variable first map is assembled and
+factorized once (SuperLU on a minimum-degree ordering of A^T + A).  The
+defect needs only the operator's action, which the same weight tables
+apply without a matrix, so each further map costs one stencil
+application of the operator and one preconditioner solve.
 """
 
 from __future__ import annotations
@@ -97,6 +103,9 @@ class EtaFunction:
     rho_max: float
 
     def __post_init__(self):
+        # comparisons with nan are False: a nan rho_max fails this test too
+        if not 0.0 < self.rho_max < np.inf:
+            raise ValueError("eta's rho_max must be finite and positive")
         s = np.linspace(-3.0, 3.0, 601)
         vals = np.asarray(self.fn(s), dtype=float)
         if np.any(vals < -1e-12) or np.any(vals > self.rho_max + 1e-12):
@@ -313,6 +322,83 @@ def clamped_embedding(domain: RectDomain, bdry: BoundaryData):
     return emat, e.ravel()
 
 
+# ------------------------------------------- constant-coefficient solve
+
+def _dst_basis(n):
+    """The orthonormal DST-I matrix of order n (symmetric, its own
+    inverse) and, in its basis, the symbols d of the Dirichlet second
+    difference tridiag(1, -2, 1) and s of CC_odd, a quarter of the
+    width-2h second difference through odd ghosts."""
+    k = np.arange(1, n + 1)
+    theta = np.pi * k / (n + 1)
+    return (np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, theta)),
+            2.0 * np.cos(theta) - 2.0, 0.5 * (np.cos(2.0 * theta) - 1.0))
+
+
+def _clamped_biharmonic_solver(domain: RectDomain):
+    """solve(b) = K^{-1} b for K = h^4 L[1] E, the clamped operator of
+    constant coefficient 1, by DST-I and a capacitance correction.
+
+    With Dd = tridiag(1, -2, 1) and P = e_1 e_1^T + e_n e_n^T on each
+    axis, the mirror ghosts of E make K a sum of Kronecker products,
+    x factor first:
+
+        K = I (x) DD + DD (x) I - 2 Dd (x) Dd + 4 CC (x) CC,
+        DD = Dd^2 + 2 P,   CC = CC_odd + P / 2.
+
+    Dropping every P leaves K_0, diagonal in the DST-I basis S of each
+    axis with symbol (d_x - d_y)^2 + 4 s_x s_y > 0.  The rest,
+
+        K - K_0 = (2 N + P) (x) P + 2 P (x) N,   N = I + CC_odd,
+
+    lives on the first interior layer: the capacitance-matrix method
+    (Buzbee, Dorr, George & Golub 1971; Bjorstad 1983).  In the DST
+    basis N is diag(1 + s), and S P S = a+ a+^T + a- a-^T, with a+ (a-)
+    the first row of sqrt(2) S on its modes even (odd) under the axis's
+    reflection.  So K splits into four independent symmetry classes
+    (x parity, y parity).  In each, with a, b the x and y vectors of the
+    class and V = [a (x) I, I (x) b] (the layer's two x and two y sides),
+
+        K_c = K_0c + V M_c V^T,   M_c = diag(2 (1 + s_y), 2 (1 + s_x) + a a^T),
+
+    and the Woodbury identity solves it with the capacitance matrix
+    G_c = V^T K_0c^{-1} V, whose side blocks are diagonal:
+
+        K_c^{-1} = K_0c^{-1} - K_0c^{-1} V M_c (I + G_c M_c)^{-1} V^T K_0c^{-1}.
+
+    Set-up solves four systems of order about (nx + ny) / 2; a solve
+    costs two 2-D DSTs (four dense matrix products) and O(nx ny) besides.
+    """
+    nx, ny = domain.nx, domain.ny
+    sx, dx, cx = _dst_basis(nx)
+    sy, dy, cy = _dst_basis(ny)
+    w = 1.0 / ((dx[:, None] - dy) ** 2 + 4.0 * cx[:, None] * cy)   # K_0^{-1}
+    classes = []
+    for px in (0, 1):
+        for py in (0, 1):
+            cls = (slice(px, None, 2), slice(py, None, 2))
+            a, b, wc = np.sqrt(2.0) * sx[0, px::2], np.sqrt(2.0) * sy[0, py::2], w[cls]
+            gxy = (a[:, None] * wc * b).T
+            g = np.block([[np.diag(a ** 2 @ wc), gxy], [gxy.T, np.diag(wc @ b ** 2)]])
+            m = np.zeros_like(g)
+            m[:b.size, :b.size] = np.diag(2.0 * (1.0 + cy[py::2]))
+            m[b.size:, b.size:] = np.diag(2.0 * (1.0 + cx[px::2])) + np.outer(a, a)
+            # M_c (I + G_c M_c)^{-1} by a solve, M_c being symmetric
+            q = np.linalg.solve((np.eye(g.shape[0]) + g @ m).T, m).T
+            classes.append((cls, a, b, q))
+
+    def solve(rhs):
+        bh = sx @ rhs.reshape(nx, ny) @ sy
+        xh = w * bh
+        for cls, a, b, q in classes:
+            u = xh[cls]
+            z = q @ np.concatenate((a @ u, u @ b))
+            xh[cls] = w[cls] * (bh[cls] - np.outer(a, z[:b.size]) - np.outer(z[b.size:], b))
+        return (sx @ xh @ sy).ravel()
+
+    return solve
+
+
 # ------------------------------------------------------------ ellipticity
 
 def ellipticity_check(law: ViscosityLaw, rho_samples, xi_samples) -> dict:
@@ -412,6 +498,32 @@ def _apply_operator(domain, mu_e, mu_o, phi_ext):
     return _stencil(mu_e * b + mu_o * t, _B, h) + _stencil(mu_e * t - mu_o * b, _T, h)
 
 
+def _sparse_chord_solver(domain, mu_e, mu_o, emb):
+    """M_0^{-1} for M_0 = (L[mu_e] + A[mu_o]) E, assembled and factorized
+    by SuperLU on a minimum-degree ordering of A^T + A."""
+    mat = ((assemble_L(domain, mu_e) + assemble_A(domain, mu_o)) @ emb).tocsc()
+    return splu(mat, permc_spec="MMD_AT_PLUS_A").solve
+
+
+def _chord_solver(domain, mu_e, mu_o, emb):
+    """M_0^{-1} as a callable, M_0 = (L[mu_e] + A[mu_o]) E the chord's
+    frozen matrix; raises RuntimeError when M_0 is singular.
+
+    Constant coefficients make A vanish and M_0 = mu K / h^4, which
+    `_clamped_biharmonic_solver` solves with no matrix.  np.ptp is nan,
+    not 0, when an entry is non-finite, so such a map goes to SuperLU,
+    which finds it singular.
+    """
+    if np.ptp(mu_e) == 0.0 and np.ptp(mu_o) == 0.0:
+        mu = float(mu_e.flat[0])
+        if mu == 0.0:
+            raise RuntimeError("constant viscosity 0 makes the operator singular")
+        fast = _clamped_biharmonic_solver(domain)
+        scale = domain.h ** 4 / mu
+        return lambda defect: scale * fast(defect)
+    return _sparse_chord_solver(domain, mu_e, mu_o, emb)
+
+
 _ANDERSON_DEPTH = 3
 
 
@@ -425,9 +537,11 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
 
         G(phi) = phi + M_0^{-1} [rhs(phi) - M(phi) phi],
 
-    where M_0 = M(phi_1) is factorized once, at the first map, and kept
-    for the whole solve; the product M(phi) phi is a stencil application
-    of the operator, so a later map costs that and one triangular solve.
+    where M_0 = M(phi_1) is set up once, at the first map, and kept for
+    the whole solve (`_chord_solver`: a DST-I capacitance solve when
+    M_0 has constant coefficients, SuperLU factors otherwise); the
+    product M(phi) phi is a stencil application of the operator, so a
+    later map costs that and one solve with M_0.
     Its fixed points are those of the Picard map
     phi -> M(phi)^{-1} rhs(phi).  With residuals f_k = G(phi_k) - phi_k,
     the next iterate is (Walker & Ni 2011)
@@ -440,7 +554,7 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
     history this is the relaxation phi_k + b f_k.  Converged when both
     the update h |phi_{k+1} - phi_k| and the map residual h |f_k| are at
     most tol.  On the manufactured problem of the tests this takes 7
-    maps and one factorization.
+    maps and no factorization.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -455,21 +569,20 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
     history = []
     d_phi, d_res = deque(maxlen=_ANDERSON_DEPTH), deque(maxlen=_ANDERSON_DEPTH)
     prev = None                              # (phi_k, f_k) of the last sweep
-    lu = None                                # factors of M_0
+    solve = None                             # M_0^{-1}, set up at the first map
     for it in range(1, max_iter + 1):
         phi_ext = (emb @ phi_int + shift).reshape(nx + 4, ny + 4)
         rho = problem.eta(_ext_to_mid(phi_ext))
         mu_e, mu_o = problem.law.mu_e(rho), problem.law.mu_o(rho)
         defect = (nonlinear_rhs(dom, phi_ext, problem.eta, problem.force1, problem.force2)
                   - _apply_operator(dom, mu_e, mu_o, phi_ext)).ravel()
-        if lu is None:
-            mat = ((assemble_L(dom, mu_e) + assemble_A(dom, mu_o)) @ emb).tocsc()
+        if solve is None:
             try:
-                lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
+                solve = _chord_solver(dom, mu_e, mu_o, emb)
             except RuntimeError as e:
                 raise PicardError(f"factorization failed in iteration {it}: {e} "
                                   "(last update inf)", np.inf) from e
-        res = lu.solve(defect)
+        res = solve(defect)
         if prev is not None:
             d_phi.append(phi_int - prev[0])
             d_res.append(res - prev[1])

@@ -31,8 +31,8 @@ class DensityBounds:
     rho_upper: float
 
     def __post_init__(self):
-        if not 0 < self.rho_star <= self.rho_upper:
-            raise ValueError("density bounds must satisfy 0 < rho_star <= rho_upper")
+        if not 0 < self.rho_star <= self.rho_upper < np.inf:
+            raise ValueError("density bounds must satisfy 0 < rho_star <= rho_upper < inf")
 
     def contains(self, rho: np.ndarray, tol=1e-12) -> bool:
         return bool(
@@ -71,25 +71,34 @@ def parse_law_spec(spec: str) -> Callable[[np.ndarray], np.ndarray]:
 
     Supported forms: ``const:<v>``, ``affine:<a>,<b>`` (a + b*rho),
     ``prop:<c>`` (c*rho), ``table:<path>`` (two-column samples, linearly
-    interpolated).
+    interpolated).  A non-finite coefficient or sample is rejected.
     """
     kind, _, arg = spec.partition(":")
     if kind == "const":
-        v = float(arg)
+        (v,) = _finite_coefficients(spec, arg)
         return lambda r: v * np.ones_like(np.asarray(r, dtype=float))
     if kind == "affine":
-        a, b = (float(x) for x in arg.split(","))
+        a, b = _finite_coefficients(spec, arg)
         return lambda r: a + b * np.asarray(r, dtype=float)
     if kind == "prop":
-        c = float(arg)
+        (c,) = _finite_coefficients(spec, arg)
         return lambda r: c * np.asarray(r, dtype=float)
     if kind == "table":
         data = np.loadtxt(arg)
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError(f"viscosity table {arg!r} must have two columns")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"viscosity table {arg!r} holds a non-finite value")
         xs, ys = data[:, 0], data[:, 1]
         return lambda r: np.interp(np.asarray(r, dtype=float), xs, ys)
     raise ValueError(f"unknown viscosity spec {spec!r}")
+
+
+def _finite_coefficients(spec, arg):
+    values = [float(x) for x in arg.split(",")]
+    if not all(np.isfinite(values)):
+        raise ValueError(f"law spec {spec!r} has a non-finite coefficient")
+    return values
 
 
 def make_law(nu_e_spec: str, nu_o_spec: str, mu_star, mu_upper, bounds) -> ViscosityLaw:

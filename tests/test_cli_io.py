@@ -266,6 +266,26 @@ def test_stationary_rejects_bad_tol_and_max_iter(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["eta_max = nan", "eta_max = inf", "rho_max = inf",
+                                  "nu_e = const:nan", "eta = affine:1,nan"])
+def test_stationary_rejects_non_finite_inputs(tmp_path, capsys, line):
+    # a nan or infinite eta_max passed eta's range check and exited 0, an
+    # infinite rho_max overflowed the ellipticity sampling (exit 1), and
+    # nan law constants reached the solver (exit 3)
+    cfg = _write(tmp_path / "s.cfg", f"n = 16\n{line}\n")
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+def test_legitimate_edge_values_are_accepted(tmp_path):
+    # the odd term does no work, so a negative odd viscosity is allowed,
+    # and a zero-amplitude evolve start is a valid (resting) state
+    cfg = _write(tmp_path / "s.cfg", "n = 16\nnu_o = const:-0.5\n")
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    cfg = _write(tmp_path / "e.cfg", "n = 16\ndt = 1e-2\nt_end = 0.02\namplitude = 0\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+
+
 def test_stationary_reports_nonconvergence(tmp_path):
     bdry = _write(tmp_path / "b.cfg", "bottom_t = 1.0\ntop_t = 1.0\n")
     cfg = _write(tmp_path / "s.cfg", (

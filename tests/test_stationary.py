@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import _mms
 from oddflow import stationary
@@ -68,6 +69,13 @@ def test_eta_validation_and_tables():
     tab = eta_table([0.0, 1.0], [0.5, 1.5], 2.0)
     assert tab(0.5) == pytest.approx(1.0)
     assert tab(-4.0) == pytest.approx(0.5)  # constant outside the table
+
+
+def test_eta_rejects_a_non_finite_rho_max():
+    # a nan or infinite rho_max passed the range check
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EtaFunction(lambda s: np.ones_like(s), bad)
 
 
 # -------------------------------------------------- operator-level oracles
@@ -368,6 +376,10 @@ def test_picard_rejects_bad_tol_and_max_iter_before_any_work(monkeypatch, kwargs
     monkeypatch.setattr(stationary, "clamped_embedding", no_work)
     with pytest.raises(ValueError):
         picard_solve(prob, **kwargs)
+    # positive control: a valid call does reach the patched function, so
+    # the check above would catch work that started before the validation
+    with pytest.raises(AssertionError, match="started work"):
+        picard_solve(prob)
 
 
 def test_picard_matches_tightened_damped_solve():
@@ -414,37 +426,94 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_solve_factorizes_exactly_once(monkeypatch):
-    # the chord map keeps the first map's factors for the whole solve and
-    # never calls a fresh sparse solve
+def _first_map_problems():
+    """Problems whose first map phi = 0 has constant coefficients (the
+    manufactured one and tangential wall flows), and one whose first map
+    varies: a channel flow with normal inflow, so phi0 and rho vary."""
     law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, DensityBounds(0.5, 1.5))
-    problems = [_mms.problem(31)[0]] + [
-        _wall_driven(speed, law, eta_affine(1.0, 0.05, 2.0)) for speed in (5.0, 20.0, 50.0)
-    ]
+    eta = eta_affine(1.0, 0.05, 2.0)
+    constant = [_mms.problem(31)[0]] + [_wall_driven(speed, law, eta)
+                                        for speed in (5.0, 20.0, 50.0)]
+    dom = RectDomain(16, 16)
+    z = np.zeros((18, 18))
+    channel = StationaryProblem(dom, law, eta, z, z, boundary_data_from_g(
+        dom, lambda x, y: (4.0 * y * (1.0 - y), 0.0)))
+    return constant, channel
+
+
+def test_solve_factorizes_exactly_once(monkeypatch):
+    # the chord map sets up its preconditioner once, at the first map,
+    # and never calls a fresh sparse solve: a constant first map takes the
+    # DST-I capacitance solver and no factorization, a variable one is
+    # factorized once
+    constant, channel = _first_map_problems()
+    fast = _count_calls(monkeypatch, "_clamped_biharmonic_solver")
     factorizations = _count_calls(monkeypatch, "splu")
     solves = _count_calls(monkeypatch, "spsolve")
-    for prob in problems:
+    for prob, want in [(p, (1, 0)) for p in constant] + [(channel, (0, 1))]:
+        fast.clear()
         factorizations.clear()
         sol = picard_solve(prob)
-        assert len(factorizations) == 1 and solves == []
+        assert (len(fast), len(factorizations)) == want and solves == []
         assert sol.update_history[-1] <= 1e-9
 
 
 def test_solve_assembles_exactly_once(monkeypatch):
-    # only the first map builds the matrix, to factorize it; every later
-    # defect applies the operator by stencils
-    law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, DensityBounds(0.5, 1.5))
-    problems = [_mms.problem(31)[0]] + [
-        _wall_driven(speed, law, eta_affine(1.0, 0.05, 2.0)) for speed in (5.0, 20.0, 50.0)
-    ]
+    # a constant first map assembles no matrix; a variable one builds it
+    # once, to factorize it; every later defect applies the operator by
+    # stencils
+    constant, channel = _first_map_problems()
     even = _count_calls(monkeypatch, "assemble_L")
     odd = _count_calls(monkeypatch, "assemble_A")
-    for prob in problems:
+    for prob, want in [(p, 0) for p in constant] + [(channel, 1)]:
         even.clear()
         odd.clear()
         sol = picard_solve(prob)
-        assert len(even) == 1 and len(odd) == 1
+        assert len(even) == want and len(odd) == want
         assert sol.update_history[-1] <= 1e-9
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(15, 15, 1.0, 1.0), (31, 31, 1.0, 1.0),
+                                            (15, 31, 0.5, 1.0)])
+def test_constant_chord_solver_matches_superlu(nx, ny, lx, ly):
+    # the DST-I capacitance solve of (L[mu] + A[mu_o]) E, constant mu and
+    # mu_o, against SuperLU of the assembled matrix
+    dom = RectDomain(nx, ny, lx, ly)
+    emb, _ = clamped_embedding(dom, homogeneous_boundary(dom))
+    ones = np.ones((nx + 2, ny + 2))
+    b = np.random.default_rng(nx + ny).standard_normal(nx * ny)
+    for mu in (1.25, 0.6):
+        lu = splu((assemble_L(dom, mu * ones) @ emb).tocsc())
+        want = lu.solve(b)
+        got = stationary._chord_solver(dom, mu * ones, -0.3 * ones, emb)(b)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_singular_or_non_finite_chord_is_refused():
+    # a zero viscosity stops the fast path before it divides by it; a
+    # non-finite map is no constant one, and SuperLU refuses it
+    dom = RectDomain(12, 12)
+    emb, _ = clamped_embedding(dom, homogeneous_boundary(dom))
+    zero = np.zeros((14, 14))
+    with pytest.raises(RuntimeError, match="constant viscosity 0"):
+        stationary._chord_solver(dom, zero, zero, emb)
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="singular"):
+            stationary._chord_solver(dom, np.full((14, 14), bad), zero, emb)
+
+
+def test_fast_and_sparse_chords_take_the_same_maps(monkeypatch):
+    # the fast solve preconditions with the same matrix as the sparse LU,
+    # to rounding: the same maps and the same solution
+    prob, _ = _mms.problem(31)
+    fast = picard_solve(prob)
+    monkeypatch.setattr(stationary, "_chord_solver", stationary._sparse_chord_solver)
+    factorizations = _count_calls(monkeypatch, "splu")
+    sparse = picard_solve(prob)
+    assert len(factorizations) == 1
+    assert fast.iterations == sparse.iterations == 7
+    assert len(fast.update_history) == len(sparse.update_history)
+    assert np.linalg.norm(fast.phi - sparse.phi) <= 1e-12 * np.linalg.norm(sparse.phi)
 
 
 def test_singular_factorization_is_a_picard_error():

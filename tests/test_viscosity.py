@@ -29,6 +29,13 @@ def test_density_bounds_validation():
     assert not BOUNDS.contains(np.array([0.4]))
 
 
+def test_density_bounds_must_be_finite():
+    # an infinite upper bound overflowed the CLI's density sampling
+    for hi in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="< inf"):
+            DensityBounds(0.5, hi)
+
+
 def test_law_range_validation():
     # nu_e dips below mu_star on the density range
     with pytest.raises(ValueError):
@@ -52,6 +59,17 @@ def test_parse_law_spec_forms(tmp_path):
     assert fn(np.array([0.5]))[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         parse_law_spec("quadratic:1.0")
+
+
+def test_parse_law_spec_rejects_non_finite_values(tmp_path):
+    for spec in ("const:nan", "const:inf", "affine:1,nan", "affine:-inf,1", "prop:nan"):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_law_spec(spec)
+    table = tmp_path / "law.txt"
+    np.savetxt(table, np.array([[0.0, 1.0], [1.0, np.nan]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_law_spec(f"table:{table}")
+    assert parse_law_spec("const:-0.5")(np.array([1.0]))[0] == -0.5
 
 
 def _sympy_strains():
