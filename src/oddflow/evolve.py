@@ -577,6 +577,8 @@ def residual_weak_momentum(times, states, config: EvolveConfig,
 def odd_limit_sweep(config: EvolveConfig, data: InitialData, eps_list, c0: float):
     """Velocity distance at t_end between runs with nu_o = c0 + eps*sin(rho)
     and the constant-law reference, per eps."""
+    if not all(math.isfinite(eps) for eps in eps_list):
+        raise ValueError("every eps must be finite")
 
     def law_for(eps):
         return ViscosityLaw(

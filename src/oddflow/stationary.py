@@ -32,6 +32,10 @@ factorized once (SuperLU on a minimum-degree ordering of A^T + A).  The
 defect needs only the operator's action, which the same weight tables
 apply without a matrix, so each further map costs one stencil
 application of the operator and one preconditioner solve.
+
+Only the sparse path needs scipy, and it imports `scipy.sparse` when it
+runs: importing this module, and solving a problem whose first map has
+constant coefficients, load numpy alone.
 """
 
 from __future__ import annotations
@@ -42,11 +46,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
-from scipy.sparse.linalg import spsolve  # not called: perfbench/worker.py's tracer wraps this name
 
 from .viscosity import ViscosityLaw
+
+
+def __getattr__(name):
+    # `stationary.spsolve` is never called here; perfbench/worker.py's
+    # tracer wraps that name.  This shim goes when the benchmark stops
+    # wrapping it (ROADMAP item 1).
+    if name == "spsolve":
+        from scipy.sparse.linalg import spsolve
+        return spsolve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------- domain
@@ -239,7 +250,7 @@ def _stencil(a, weights, h):
     return out / h**2
 
 
-def _assemble(domain: RectDomain, mu, *terms) -> sp.csr_matrix:
+def _assemble(domain: RectDomain, mu, *terms):
     """Sum of sign * outer(mu * inner(.)) over (sign, outer, inner) terms,
     as a CSR map extended -> interior.
 
@@ -247,6 +258,8 @@ def _assemble(domain: RectDomain, mu, *terms) -> sp.csr_matrix:
     outer offset o and inner offset p land on o + p, with mu taken at
     the mid node o away from the row's node.
     """
+    import scipy.sparse as sp
+
     nx, ny, h = domain.nx, domain.ny, domain.h
     vals = np.zeros((nx, ny, 5, 5))
     for sign, outer, inner in terms:
@@ -267,7 +280,7 @@ def _assemble(domain: RectDomain, mu, *terms) -> sp.csr_matrix:
     return mat
 
 
-def assemble_L(domain: RectDomain, mu_e) -> sp.csr_matrix:
+def assemble_L(domain: RectDomain, mu_e):
     """L[mu_e] = B(mu_e B .) + T(mu_e T .) as a map extended -> interior.
 
     mu_e is sampled on the mid grid.  Both stencil factors are full
@@ -280,7 +293,7 @@ def assemble_L(domain: RectDomain, mu_e) -> sp.csr_matrix:
     return _assemble(domain, mu.reshape(domain.nx + 2, -1), (1.0, _B, _B), (1.0, _T, _T))
 
 
-def assemble_A(domain: RectDomain, mu_o) -> sp.csr_matrix:
+def assemble_A(domain: RectDomain, mu_o):
     """A[mu_o] = B(mu_o T .) - T(mu_o B .) as a map extended -> interior.
 
     For constant mu_o the two compositions are identical convolutions and
@@ -295,22 +308,35 @@ def assemble_A(domain: RectDomain, mu_o) -> sp.csr_matrix:
 def clamped_embedding(domain: RectDomain, bdry: BoundaryData):
     """Affine map interior values -> extended grid honoring the clamped BC.
 
-    Returns (E, e) with phi_ext = E phi_int + e: boundary nodes carry
-    phi0, ghost nodes are mirror images (`_clamped_extend`) shifted by
-    2 h phi1 (outward normal derivative), corner ghosts by the shifts of
-    both their sides.
+    Returns (E, e) with phi_ext = E phi_int + e: E is the sparse matrix of
+    `_embedding_matrix` and e the flat `_boundary_shift`.
     """
-    nx, ny, h = domain.nx, domain.ny, domain.h
-    # E: the mirrored interior index of each extended node, -1 off it
+    return _embedding_matrix(domain), _boundary_shift(domain, bdry).ravel()
+
+
+def _embedding_matrix(domain: RectDomain):
+    """E of phi_ext = E phi_int + e as a CSR matrix: `_clamped_extend` of
+    the interior zero-padded to the mid grid."""
+    import scipy.sparse as sp
+
+    nx, ny = domain.nx, domain.ny
+    # the mirrored interior index of each extended node, -1 off it
     idx = np.full((nx + 2, ny + 2), -1.0)
     idx[1:-1, 1:-1] = np.arange(nx * ny).reshape(nx, ny)
     col = _clamped_extend(domain, idx).ravel().astype(np.int64)
     rows = np.flatnonzero(col >= 0)
-    emat = sp.csr_matrix((np.ones(rows.size), (rows, col[rows])), shape=(col.size, nx * ny))
+    return sp.csr_matrix((np.ones(rows.size), (rows, col[rows])), shape=(col.size, nx * ny))
+
+
+def _boundary_shift(domain: RectDomain, bdry: BoundaryData):
+    """e of phi_ext = E phi_int + e on the extended grid: boundary nodes
+    carry phi0, ghost nodes are mirror images (`_clamped_extend`) of it
+    shifted by 2 h phi1 (outward normal derivative), corner ghosts by the
+    shifts of both their sides."""
     ring = np.array(bdry.phi0, dtype=float)
     ring[1:-1, 1:-1] = 0.0
     e = _clamped_extend(domain, ring)
-    s = 2.0 * h
+    s = 2.0 * domain.h
     e[0, 1:-1] += s * bdry.phi1_left
     e[-1, 1:-1] += s * bdry.phi1_right
     e[1:-1, 0] += s * bdry.phi1_bottom
@@ -319,7 +345,7 @@ def clamped_embedding(domain: RectDomain, bdry: BoundaryData):
     e[-1, 0] += s * (bdry.phi1_right[0] + bdry.phi1_bottom[-1])
     e[0, -1] += s * (bdry.phi1_left[-1] + bdry.phi1_top[0])
     e[-1, -1] += s * (bdry.phi1_right[-1] + bdry.phi1_top[-1])
-    return emat, e.ravel()
+    return e
 
 
 # ------------------------------------------- constant-coefficient solve
@@ -498,14 +524,17 @@ def _apply_operator(domain, mu_e, mu_o, phi_ext):
     return _stencil(mu_e * b + mu_o * t, _B, h) + _stencil(mu_e * t - mu_o * b, _T, h)
 
 
-def _sparse_chord_solver(domain, mu_e, mu_o, emb):
+def _sparse_chord_solver(domain, mu_e, mu_o):
     """M_0^{-1} for M_0 = (L[mu_e] + A[mu_o]) E, assembled and factorized
     by SuperLU on a minimum-degree ordering of A^T + A."""
+    from scipy.sparse.linalg import splu
+
+    emb = _embedding_matrix(domain)
     mat = ((assemble_L(domain, mu_e) + assemble_A(domain, mu_o)) @ emb).tocsc()
     return splu(mat, permc_spec="MMD_AT_PLUS_A").solve
 
 
-def _chord_solver(domain, mu_e, mu_o, emb):
+def _chord_solver(domain, mu_e, mu_o):
     """M_0^{-1} as a callable, M_0 = (L[mu_e] + A[mu_o]) E the chord's
     frozen matrix; raises RuntimeError when M_0 is singular.
 
@@ -521,7 +550,7 @@ def _chord_solver(domain, mu_e, mu_o, emb):
         fast = _clamped_biharmonic_solver(domain)
         scale = domain.h ** 4 / mu
         return lambda defect: scale * fast(defect)
-    return _sparse_chord_solver(domain, mu_e, mu_o, emb)
+    return _sparse_chord_solver(domain, mu_e, mu_o)
 
 
 _ANDERSON_DEPTH = 3
@@ -564,21 +593,28 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
         raise ValueError("max_iter must be at least 1")
     dom = problem.domain
     nx, ny, h = dom.nx, dom.ny, dom.h
-    emb, shift = clamped_embedding(dom, problem.boundary)
+    shift = _boundary_shift(dom, problem.boundary)
+    mid = np.zeros((nx + 2, ny + 2))         # phi_int zero-padded to the mid grid
+
+    def extend(phi):
+        """phi_ext = E phi + e, by mirror ghosts instead of the matrix E."""
+        mid[1:-1, 1:-1] = phi.reshape(nx, ny)
+        return _clamped_extend(dom, mid) + shift
+
     phi_int = np.zeros(nx * ny)
     history = []
     d_phi, d_res = deque(maxlen=_ANDERSON_DEPTH), deque(maxlen=_ANDERSON_DEPTH)
     prev = None                              # (phi_k, f_k) of the last sweep
     solve = None                             # M_0^{-1}, set up at the first map
     for it in range(1, max_iter + 1):
-        phi_ext = (emb @ phi_int + shift).reshape(nx + 4, ny + 4)
+        phi_ext = extend(phi_int)
         rho = problem.eta(_ext_to_mid(phi_ext))
         mu_e, mu_o = problem.law.mu_e(rho), problem.law.mu_o(rho)
         defect = (nonlinear_rhs(dom, phi_ext, problem.eta, problem.force1, problem.force2)
                   - _apply_operator(dom, mu_e, mu_o, phi_ext)).ravel()
         if solve is None:
             try:
-                solve = _chord_solver(dom, mu_e, mu_o, emb)
+                solve = _chord_solver(dom, mu_e, mu_o)
             except RuntimeError as e:
                 raise PicardError(f"factorization failed in iteration {it}: {e} "
                                   "(last update inf)", np.inf) from e
@@ -601,7 +637,7 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
         # a step stalled by rounding in a diverging iteration is no fixed
         # point: the map residual must be small too
         if update <= tol and h * float(np.linalg.norm(res)) <= tol:
-            phi_ext = (emb @ phi_int + shift).reshape(nx + 4, ny + 4)
+            phi_ext = extend(phi_int)
             d1, d2 = _mid_derivs(dom, phi_ext)
             return StationarySolution(
                 dom, _ext_to_mid(phi_ext).copy(), phi_ext,

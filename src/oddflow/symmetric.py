@@ -11,6 +11,7 @@ viscosity and a jump in the odd viscosity admits no H1 profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +22,19 @@ from .viscosity import ViscosityLaw
 
 
 # ----------------------------------------------------------------- types
+
+def _require_finite(problem, *names):
+    for name in names:
+        if not math.isfinite(getattr(problem, name)):
+            raise ValueError(f"{name} must be finite")
+
+
+def _require_nodes(n):
+    # the residual check differences the profile and drops two nodes at
+    # each end, so it needs one node left in between
+    if n < 5:
+        raise ValueError("n must be at least 5")
+
 
 @dataclass(frozen=True)
 class ParallelProblem:
@@ -43,10 +57,12 @@ class ParallelProblem:
     breakpoints: tuple = ()
 
     def __post_init__(self):
+        _require_finite(self, "C", "a", "b", "u_a", "u_b")
         if self.mode not in ("strict", "pressure_absorbed"):
             raise ValueError("mode must be 'strict' or 'pressure_absorbed'")
         if self.b <= self.a:
             raise ValueError("need b > a")
+        _require_nodes(self.n)
 
 
 @dataclass(frozen=True)
@@ -68,10 +84,12 @@ class ConcentricProblem:
     breakpoints: tuple = ()
 
     def __post_init__(self):
+        _require_finite(self, "C", "C1", "r_in", "r_out", "g_in")
         if self.r_in <= 0:
             raise ValueError("r_in must be positive (excludes the origin)")
         if self.r_out <= self.r_in:
             raise ValueError("need r_out > r_in")
+        _require_nodes(self.n)
 
 
 @dataclass(frozen=True)
@@ -90,6 +108,7 @@ class RadialProblem:
     collocation_n: int = 64
 
     def __post_init__(self):
+        _require_finite(self, "C")
         n = self.collocation_n
         if n < 32 or (n & (n - 1)) != 0:
             raise ValueError("collocation_n must be a power of two >= 32")

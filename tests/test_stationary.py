@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.sparse.linalg import splu
 
 import _mms
@@ -373,7 +374,7 @@ def test_picard_rejects_bad_tol_and_max_iter_before_any_work(monkeypatch, kwargs
     def no_work(*args):
         raise AssertionError("picard_solve started work")
 
-    monkeypatch.setattr(stationary, "clamped_embedding", no_work)
+    monkeypatch.setattr(stationary, "_boundary_shift", no_work)
     with pytest.raises(ValueError):
         picard_solve(prob, **kwargs)
     # positive control: a valid call does reach the patched function, so
@@ -414,15 +415,15 @@ def _wall_driven(speed, law, eta):
     return StationaryProblem(dom, law, eta, z, z, boundary_data_from_g(dom, g))
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=stationary):
     calls = []
-    inner = getattr(stationary, name)
+    inner = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(stationary, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -448,8 +449,9 @@ def test_solve_factorizes_exactly_once(monkeypatch):
     # factorized once
     constant, channel = _first_map_problems()
     fast = _count_calls(monkeypatch, "_clamped_biharmonic_solver")
-    factorizations = _count_calls(monkeypatch, "splu")
-    solves = _count_calls(monkeypatch, "spsolve")
+    # the sparse path imports these names from scipy when it runs
+    factorizations = _count_calls(monkeypatch, "splu", scipy.sparse.linalg)
+    solves = _count_calls(monkeypatch, "spsolve", scipy.sparse.linalg)
     for prob, want in [(p, (1, 0)) for p in constant] + [(channel, (0, 1))]:
         fast.clear()
         factorizations.clear()
@@ -485,7 +487,7 @@ def test_constant_chord_solver_matches_superlu(nx, ny, lx, ly):
     for mu in (1.25, 0.6):
         lu = splu((assemble_L(dom, mu * ones) @ emb).tocsc())
         want = lu.solve(b)
-        got = stationary._chord_solver(dom, mu * ones, -0.3 * ones, emb)(b)
+        got = stationary._chord_solver(dom, mu * ones, -0.3 * ones)(b)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -493,13 +495,12 @@ def test_singular_or_non_finite_chord_is_refused():
     # a zero viscosity stops the fast path before it divides by it; a
     # non-finite map is no constant one, and SuperLU refuses it
     dom = RectDomain(12, 12)
-    emb, _ = clamped_embedding(dom, homogeneous_boundary(dom))
     zero = np.zeros((14, 14))
     with pytest.raises(RuntimeError, match="constant viscosity 0"):
-        stationary._chord_solver(dom, zero, zero, emb)
+        stationary._chord_solver(dom, zero, zero)
     for bad in (np.nan, np.inf):
         with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="singular"):
-            stationary._chord_solver(dom, np.full((14, 14), bad), zero, emb)
+            stationary._chord_solver(dom, np.full((14, 14), bad), zero)
 
 
 def test_fast_and_sparse_chords_take_the_same_maps(monkeypatch):
@@ -508,7 +509,7 @@ def test_fast_and_sparse_chords_take_the_same_maps(monkeypatch):
     prob, _ = _mms.problem(31)
     fast = picard_solve(prob)
     monkeypatch.setattr(stationary, "_chord_solver", stationary._sparse_chord_solver)
-    factorizations = _count_calls(monkeypatch, "splu")
+    factorizations = _count_calls(monkeypatch, "splu", scipy.sparse.linalg)
     sparse = picard_solve(prob)
     assert len(factorizations) == 1
     assert fast.iterations == sparse.iterations == 7
@@ -517,8 +518,9 @@ def test_fast_and_sparse_chords_take_the_same_maps(monkeypatch):
 
 
 def test_singular_factorization_is_a_picard_error():
-    # nu_e(r) = r at density 0 assembles the zero matrix: SuperLU refuses
-    # it, and the solver reports where it stopped
+    # nu_e(r) = r at density 0 is the constant viscosity 0: the fast
+    # path refuses it before it divides by it, and the solver reports
+    # where it stopped
     dom = RectDomain(12, 12)
     law = make_law("affine:0,1", "const:0.0", 0.5, 2.0, DensityBounds(0.5, 1.5))
     z = np.zeros((14, 14))
