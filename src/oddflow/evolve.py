@@ -141,17 +141,39 @@ class EnergyLedger:
         )
 
 
+def _density_weights(rho):
+    """(rho, 1/rho) as weights for `_weighted_hat`: floats when the density
+    is constant, so that its weightings take no transform, else arrays."""
+    if np.ptp(rho) == 0:
+        r = float(rho.flat[0])
+        return r, 1.0 / r
+    return rho, 1.0 / rho
+
+
+def _weighted_hat(grid, w, vhat):
+    """rfft2 coefficients of w * v from those of v (stacked planes): a plain
+    multiply for a scalar weight, which commutes with the transform, and
+    an inverse and a forward transform for an array weight."""
+    if np.ndim(w) == 0:
+        return w * vhat
+    v = _irfft(grid, vhat)
+    v *= w
+    return _rfft(v)
+
+
 def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
-    """Velocity tendency before pressure: -(u.grad)u + div(sigma)/rho + f,
-    as a (2, n1, n2) stack, of the velocity stack `u` with rfft2
-    coefficients `uhat`, and the state's dissipation rate
-    int mu_e(rho) |sym strain|^2 dx (the entries of `strain_sym`).
+    """rfft2 coefficients of the velocity tendency before pressure,
+    -(u.grad)u + div(sigma)/rho + f, as a (2, n1, m) stack, of the velocity
+    stack `u` with rfft2 coefficients `uhat`, and the state's dissipation
+    rate int mu_e(rho) |sym strain|^2 dx (the entries of `strain_sym`).
 
     Single fused spectral pass: velocity derivatives are computed once and
     shared by the advection term, both strain tensors and the dissipation
     rate; the 2/3 mask is applied inside the same transform as each
     product's derivative.  The derivative stack is freed before the five
-    products are transformed, which bounds the peak memory.
+    products are transformed, which bounds the peak memory, and the
+    tendency is written over the stress coefficients, whose array the
+    returned stack is a view of.
     """
     mask = _rfft_mode_mask(grid, cutoff)
     u1, u2 = u
@@ -174,13 +196,15 @@ def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
     phat = _rfft(prod)
     del prod
     phat *= mask
-    # div of the stress rows (s11, s12) and (s12, s22)
-    phat[2:4] = _div_hat(grid, phat[[[2, 3], [3, 4]]])
-    planes = _irfft(grid, phat[:4])  # the advection term, then div of the stress
-    g = planes[2:] / rho - planes[:2]
+    # (1/rho) div of the stress rows (s11, s12) and (s12, s22), less the
+    # advection term
+    ghat = phat[2:4]
+    ghat[...] = _weighted_hat(grid, _density_weights(rho)[1],
+                              _div_hat(grid, phat[[[2, 3], [3, 4]]]))
+    ghat -= phat[:2]
     if f is not None:
-        g += f.data
-    return g, dissipation
+        ghat += _rfft(f.data)
+    return ghat, dissipation
 
 
 class ProjectionError(RuntimeError):
@@ -206,12 +230,14 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     operator L^-1 (-div(rho grad)) L^-1, with L^-1 the inverse Laplacian:
     in the plane -div(rho^-1 grad) and -div(rho grad) are dual (Keller's
     reciprocity for 2-d conductivity, J. Math. Phys. 5, 1964), so it comes
-    close to inverting A, and at constant rho it is the diagonal rho/|k|^2,
-    A's exact inverse.  That case takes the diagonal, ignores `p0` and
-    converges from a cold start in one iteration: one application of A,
-    where a warm start would cost two (its residual, then the iteration).
+    close to inverting A.  Each application of A, or of the middle factor,
+    is one inverse and one forward transform, and none at constant rho
+    (`_weighted_hat`), where the preconditioner is A's exact inverse
+    rho L^-1.  That case ignores `p0` and converges from a cold start in
+    one iteration, where a warm start would take its residual's
+    application of A as well.
     """
-    inv_rho = 1.0 / rho
+    rho_w, inv_rho = _density_weights(rho)
     k1, k2 = _rfft_wavenumbers(grid)
     # the preconditioner must use the operator's own (Nyquist-zeroed)
     # symbol, or the near-null Nyquist-line modes stall the iteration;
@@ -223,19 +249,13 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     def apply_a(phat, w):
         # -div(w grad p): symmetric positive definite on mean zero for w > 0;
         # A is w = 1/rho, the preconditioner's middle factor w = rho
-        g = _irfft(grid, _grad_hat(grid, phat))
-        g *= w
-        return -_div_hat(grid, _rfft(g))
+        return -_div_hat(grid, _weighted_hat(grid, w, _grad_hat(grid, phat)))
 
-    if np.ptp(rho) == 0:
-        p0 = None  # the exact preconditioner makes a cold start one application of A
-        inv_m = rho.flat[0] * inv_l
+    def precondition(r):
+        return inv_l * apply_a(inv_l * r, rho_w)
 
-        def precondition(r):
-            return inv_m * r
-    else:
-        def precondition(r):
-            return inv_l * apply_a(inv_l * r, rho)
+    if np.ndim(rho_w) == 0:
+        p0 = None  # the exact preconditioner makes a cold start one iteration
 
     def norm(a):
         return np.sqrt(_rfft_inner(grid, a, a))
@@ -277,21 +297,25 @@ def solve_pressure(grid: Grid2D, rho, source, tol=1e-10, max_iter=500, p0=None):
     )
 
 
-def _project_tendency(grid, rho, g, p0=None):
-    """Remove the (1/rho) grad q part of a (2, n1, n2) tendency so it is
-    divergence-free.  Returns the projected stack, q's coefficients and
-    the solve's (iterations, residual)."""
-    qhat, iterations, residual = solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)
-    return g - _irfft(grid, _grad_hat(grid, qhat)) / rho, qhat, (iterations, residual)
+def _project_tendency(grid, rho, ghat, p0=None):
+    """Remove the (1/rho) grad q part of a tendency, given and returned as
+    (2, n1, m) rfft2 coefficients, so it is divergence-free; `ghat` is
+    overwritten.  Returns the projected stack, q's coefficients and the
+    solve's (iterations, residual)."""
+    qhat, iterations, residual = solve_pressure(grid, rho, _div_hat(grid, ghat), p0=p0)
+    ghat -= _weighted_hat(grid, _density_weights(rho)[1], _grad_hat(grid, qhat))
+    return ghat, qhat, (iterations, residual)
 
 
 def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u, uhat, f,
                      cutoff, p0=None):
     """rfft2 coefficients of the mean-zero pressure consistent with the
     instantaneous state, and the state's dissipation rate; `u` is the
-    velocity stack and `uhat` its rfft2 coefficients."""
-    g, dissipation = _advective_rhs(grid, law, rho, u, uhat, f, cutoff)
-    return solve_pressure(grid, rho, _div_hat(grid, _rfft(g)), p0=p0)[0], dissipation
+    velocity stack and `uhat` its rfft2 coefficients.  The pressure solves
+    div((1/rho) grad q) = div g for the pre-pressure tendency g, whose
+    coefficients `_advective_rhs` returns."""
+    ghat, dissipation = _advective_rhs(grid, law, rho, u, uhat, f, cutoff)
+    return solve_pressure(grid, rho, _div_hat(grid, ghat), p0=p0)[0], dissipation
 
 
 _CFL = 0.5  # advective Courant number of the adaptive step
@@ -390,8 +414,8 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
 
     u = state.u.data
     uhat = _rfft(u)
-    g, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
-    k, q1, cg1 = _project_tendency(grid, rho0, g, p0=_warm_start(q1s, state.t))
+    ghat, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
+    khat, q1, cg1 = _project_tendency(grid, rho0, ghat, p0=_warm_start(q1s, state.t))
     # the stiff part is -lam * uhat, lam = nu_s |k|^2; n0 is the rest of
     # the projected stage-1 tendency; the mode cutoff is folded into the
     # weights
@@ -402,14 +426,14 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     decay *= mask
     w1 *= dt * mask
     w2 *= dt * mask
-    n0 = _rfft(k) + lam * uhat
+    n0 = khat + lam * uhat
     uhat = decay * uhat + w1 * n0
     u = _irfft(grid, uhat)
-    del g, k, decay, w1  # not needed in stage 2, whose right side is the peak
-    g, _ = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
-    k, q2, cg2 = _project_tendency(grid, rho1, g, p0=_warm_start(q2s, state.t + dt))
-    uhat += w2 * (_rfft(k) + lam * uhat - n0)
-    del g, k, n0
+    del ghat, khat, decay, w1  # not needed in stage 2, whose right side is the peak
+    ghat, _ = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
+    khat, q2, cg2 = _project_tendency(grid, rho1, ghat, p0=_warm_start(q2s, state.t + dt))
+    uhat += w2 * (khat + lam * uhat - n0)
+    del ghat, khat, n0
     q1s.append((state.t, q1))
     q2s.append((state.t + dt, q2))
     del q1s[:-_WARM_POINTS], q2s[:-_WARM_POINTS]

@@ -7,6 +7,7 @@ sampling over the admissible density interval at construction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,8 +50,12 @@ class ViscosityLaw:
     bounds: DensityBounds
 
     def __post_init__(self):
-        if not 0 < self.mu_star <= self.mu_upper:
-            raise ValueError("viscosity bounds must satisfy 0 < mu_star <= mu_upper")
+        # an infinite mu_upper bounds nothing, yet would pass as the
+        # ellipticity report's upper bound
+        if not (math.isfinite(self.mu_star) and math.isfinite(self.mu_upper)
+                and 0 < self.mu_star <= self.mu_upper):
+            raise ValueError("viscosity bounds must be finite and satisfy "
+                             "0 < mu_star <= mu_upper")
         r = np.linspace(self.bounds.rho_star, self.bounds.rho_upper, _BOUND_SAMPLES)
         ve = np.asarray(self.nu_e(r), dtype=float) + np.zeros_like(r)
         vo = np.asarray(self.nu_o(r), dtype=float) + np.zeros_like(r)

@@ -184,6 +184,10 @@ def test_evolve_rejects_bad_config(tmp_path, capsys):
     cfg = _write(tmp_path / "store.cfg", "n = 16\ndt = 5e-3\nt_end = 0.05\nstore_every = 1\n")
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "unknown config key(s): store_every" in capsys.readouterr().err
+    # an infinite mu_upper bounds no viscosity: it ran and exited 0
+    cfg = _write(tmp_path / "inf.cfg", "n = 16\ndt = 1e-2\nt_end = 0.02\nmu_upper = inf\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
 
 
 
@@ -268,11 +272,13 @@ def test_stationary_rejects_bad_tol_and_max_iter(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["eta_max = nan", "eta_max = inf", "rho_max = inf",
-                                  "nu_e = const:nan", "eta = affine:1,nan"])
+                                  "nu_e = const:nan", "eta = affine:1,nan",
+                                  "mu_upper = inf"])
 def test_stationary_rejects_non_finite_inputs(tmp_path, capsys, line):
     # a nan or infinite eta_max passed eta's range check and exited 0, an
-    # infinite rho_max overflowed the ellipticity sampling (exit 1), and
-    # nan law constants reached the solver (exit 3)
+    # infinite rho_max overflowed the ellipticity sampling (exit 1), nan
+    # law constants reached the solver (exit 3), and an infinite mu_upper
+    # was written as the ellipticity's upper bound (exit 0)
     cfg = _write(tmp_path / "s.cfg", f"n = 16\n{line}\n")
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "invalid input" in capsys.readouterr().err

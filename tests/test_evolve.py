@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from _spectral import inv_laplacian
-from oddflow import evolve, semilag
+from oddflow import evolve, fields, semilag
 from oddflow.cli import _steady_shear_defects
 from oddflow.evolve import (  # noqa: the weak-form test field gets an alias
     BlowUpError,
@@ -240,11 +242,13 @@ def test_spectral_cg_constant_density_matches_inv_laplacian(monkeypatch):
     # the two Laplacian symbols differ only on the Nyquist modes
     want = 1.3 * inv_laplacian(ScalarField(g, src)).values
     assert np.max(np.abs(p - want)) < 1e-12 * np.max(np.abs(want))
-    # the warm start is dropped: a cold start is one operator application,
-    # one inverse transform, where the warm start's residual costs a second
+    # the warm start is dropped, so the solve repeats the cold one bit for
+    # bit, and a constant weight commutes with the transforms: no operator
+    # application transforms a plane
     inverse = _count_calls(monkeypatch, "_irfft")
+    forward = _count_calls(monkeypatch, "_rfft")
     warm, iterations, _ = solve_pressure(g, rho, _rfft(src), tol=1e-12, p0=1.01 * phat)
-    assert iterations == 1 and len(inverse) == 1
+    assert iterations == 1 and len(inverse) == 0 and len(forward) == 0
     assert np.array_equal(warm, phat)
 
 
@@ -533,6 +537,45 @@ def test_constant_density_run_takes_the_exact_path(monkeypatch):
     bumped[3, 7] = np.nextafter(1.1, 2.0)
     _, ledger = run(cfg, InitialData(ScalarField(g, bumped), u0))
     assert len(interp) == 2 * len(ledger.dt) == 10
+
+
+def test_constant_density_step_transforms_only_the_velocity(monkeypatch):
+    # a constant density weights the tendencies and the pressure solves by
+    # one number, which commutes with the transforms: a step transforms
+    # only uhat (2 planes), each stage's right side (4 derivative planes,
+    # 5 product planes) and each stage's velocity (2 planes).  Once per
+    # run: the divergence check of u0 (6), the final recovery (2 + 9) and
+    # the two kept pressures (1 each)
+    g = Grid2D(32, 32)
+    cfg = make_config(g, 2e-3, 0.01, nu_e="const:1.0", nu_o="const:0.5")
+    data = InitialData(unit_density(g), random_divfree_field(g, seed=37, cutoff=4))
+    planes = []
+    for module, name in itertools.product((evolve, fields), ("_rfft", "_irfft")):
+        def counted(*args, inner=getattr(module, name)):
+            planes.append(int(np.prod(args[-1].shape[:-2])))
+            return inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    _, ledger = run(cfg, data)
+    steps = len(ledger.dt)
+    assert steps == 5 and max(max(pair) for pair in ledger.cg_iterations) == 1
+    assert sum(planes) == 24 * steps + 19
+
+
+def test_weighted_hat_scalar_and_array_weights_agree():
+    # the scalar branch multiplies the coefficients, the array branch the
+    # planes on the grid; a constant density takes the first
+    g = Grid2D(32, 24)
+    rho = np.full((32, 24), 1.3)
+    weights = evolve._density_weights(rho)
+    assert all(isinstance(w, float) for w in weights)
+    vhat = _rfft(np.random.default_rng(38).standard_normal((2, 32, 24)))
+    for w, w_array in zip(weights, (rho, 1.0 / rho)):
+        scalar = evolve._weighted_hat(g, w, vhat)
+        array = evolve._weighted_hat(g, w_array, vhat)
+        assert np.max(np.abs(scalar - array)) <= 1e-14 * np.max(np.abs(scalar))
+    bumped = rho.copy()
+    bumped[3, 7] = np.nextafter(1.3, 2.0)
+    assert all(isinstance(w, np.ndarray) for w in evolve._density_weights(bumped))
 
 
 def test_run_evaluates_each_state_once(monkeypatch):
