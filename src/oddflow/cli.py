@@ -284,7 +284,9 @@ def cmd_stationary(args):
     except PicardError as e:
         print(f"stationary: {e}", file=sys.stderr)
         return 3
-    dump_grid = Grid2D(domain.nx + 2, domain.ny + 2, domain.lx, domain.ly)
+    # the dumps hold the boundary nodes too, so their period is one h past lx
+    dump_grid = Grid2D(domain.nx + 2, domain.ny + 2,
+                       (domain.nx + 2) * domain.h, (domain.ny + 2) * domain.h)
     fio.write_field(os.path.join(out, "phi.odf"), ScalarField(dump_grid, sol.phi))
     fio.write_field(os.path.join(out, "velocity.odf"),
                     VectorField(dump_grid, sol.u1, sol.u2))

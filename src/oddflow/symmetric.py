@@ -336,7 +336,7 @@ def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
                 break
             jac = (
                 np.diag(2.0 * rho * h)
-                - 2.0 * d @ np.diag(mo) + 2.0 * mo[:, None] * d
+                - 2.0 * d * mo + 2.0 * mo[:, None] * d
             )
             step, *_ = np.linalg.lstsq(jac[:, free], -g, rcond=None)
             h = h.copy()

@@ -258,6 +258,19 @@ def test_stationary_command_with_boundary_file(tmp_path):
     assert vals["odd_form_max"] <= 1e-12
 
 
+def test_stationary_dumps_read_back_on_the_domain_nodes(tmp_path):
+    from oddflow.stationary import RectDomain
+
+    cfg = _write(tmp_path / "s.cfg", "n = 16\nlength = 2.0\n")
+    out = str(tmp_path / "out")
+    assert main(["stationary", "--config", cfg, "--out", out]) == 0
+    xm, ym = RectDomain(16, 16, 2.0, 2.0).mid_coords()
+    for name, kind in (("phi.odf", KIND_SCALAR), ("velocity.odf", KIND_VECTOR)):
+        fld, _ = read_field(os.path.join(out, name), expect_kind=kind)
+        x, y = fld.grid.coords()
+        assert np.max(np.abs(x - xm)) <= 1e-14 and np.max(np.abs(y - ym)) <= 1e-14
+
+
 def test_stationary_rejects_net_flux_boundary(tmp_path):
     bdry = _write(tmp_path / "b.cfg", "bottom_n = 1.0\n")
     cfg = _write(tmp_path / "s.cfg", f"n = 16\nboundary_file = {bdry}\n")

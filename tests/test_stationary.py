@@ -203,6 +203,57 @@ def test_ellipticity_bounds():
     assert rep["odd_form_max"] <= 1e-12
 
 
+def _ellipticity_by_sample(law, rho_samples, xi_samples):
+    """The report's two forms evaluated one (rho, xi) pair at a time."""
+    rq, odd = [], [0.0]
+    for rho in rho_samples:
+        me = float(law.mu_e(np.array([rho]))[0])
+        mo = float(law.mu_o(np.array([rho]))[0])
+        c = me - law.mu_star / 2.0
+        for x11, x22, x12, x21 in (map(float, xi) for xi in xi_samples):
+            nsq = x11**2 + x22**2 + x12**2 + x21**2
+            qe = (me * x11**2 + me * x22**2 - 2.0 * c * x11 * x22
+                  + 2.0 * c * x12**2 + 2.0 * me * x21**2)
+            odd.append(abs(mo * (x22 * x12 + x22 * x21 - x12 * x22 - x21 * x22
+                                 - x11 * x12 - x11 * x21 + x12 * x11 + x21 * x11)))
+            if nsq > 0:
+                rq.append(qe / nsq)
+    return min(rq, default=np.inf), max(rq, default=-np.inf), max(odd)
+
+
+@pytest.mark.parametrize("n_rho, n_xi", [(1, 7), (13, 2), (120, 40)])
+def test_ellipticity_check_equals_the_pairwise_forms(n_rho, n_xi):
+    law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, DensityBounds(0.5, 1.5))
+    rng = np.random.default_rng(n_rho)
+    rho = rng.uniform(0.5, 1.5, n_rho)
+    xi = rng.standard_normal((n_xi, 4))
+    xi[0] = 0.0     # no quotient, but it still counts for the odd form
+    rep = ellipticity_check(law, rho, xi)
+    assert (rep["rayleigh_min"], rep["rayleigh_max"], rep["odd_form_max"]) == \
+        _ellipticity_by_sample(law, rho, xi)
+
+
+def test_ellipticity_check_squares_as_python_floats_do():
+    # entries whose pow(x, 2) and x * x round apart: the report squares
+    # with pow, so it keeps the value a scalar evaluation gives
+    law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, DensityBounds(0.5, 1.5))
+    x = np.random.default_rng(0).standard_normal(20_000)
+    xi = x[[float(v) ** 2 != v * v for v in x]][:8].reshape(2, 4)
+    rep = ellipticity_check(law, [1.1], xi)
+    assert (rep["rayleigh_min"], rep["rayleigh_max"], rep["odd_form_max"]) == \
+        _ellipticity_by_sample(law, [1.1], xi)
+
+
+def test_ellipticity_check_without_a_nonzero_xi_or_with_a_nan_density():
+    law = _mms.law()
+    rep = ellipticity_check(law, [0.7, 1.2], np.zeros((3, 4)))
+    assert (rep["rayleigh_min"], rep["rayleigh_max"], rep["odd_form_max"]) == \
+        (np.inf, -np.inf, 0.0)
+    # a nan coefficient reaches the report instead of being skipped
+    rep = ellipticity_check(law, [0.7, np.nan], np.ones((2, 4)))
+    assert np.isnan(rep["rayleigh_min"]) and np.isnan(rep["rayleigh_max"])
+
+
 # ----------------------------------------------------------- boundary data
 
 def test_boundary_data_tangential_field():
