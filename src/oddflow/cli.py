@@ -475,32 +475,34 @@ def _check_a_const(seed):
     return float(np.linalg.norm(a @ phi)) / denom, 1e-12
 
 
+def _const_odd_spread(solve, problem):
+    """Largest deviation of `solve(problem(rho, law)).profile` between the
+    constant odd laws -1, 0 and 1, on unit density."""
+    bounds = DensityBounds(0.5, 1.5)
+
+    def unit(s):
+        return np.ones_like(np.asarray(s, dtype=float))
+
+    profiles = [
+        solve(problem(unit, make_law("const:1.0", f"const:{vo}", 0.5, 2.0, bounds))).profile
+        for vo in (-1.0, 0.0, 1.0)
+    ]
+    return max(float(np.max(np.abs(q - profiles[0]))) for q in profiles[1:])
+
+
 def _check_radial_invariance(seed):
     from .symmetric import RadialProblem, solve_radial
 
-    bounds = DensityBounds(0.5, 1.5)
-    sols = []
-    for vo in (-1.0, 0.0, 1.0):
-        law = make_law("const:1.0", f"const:{vo}", 0.5, 2.0, bounds)
-        p = RadialProblem(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                          law, 5.0, 64)
-        sols.append(solve_radial(p).profile)
-    return max(float(np.max(np.abs(s - sols[0]))) for s in sols[1:]), 1e-10
+    return _const_odd_spread(
+        solve_radial, lambda rho, law: RadialProblem(rho, law, 5.0, 64)), 1e-10
 
 
 def _check_concentric_independence(seed):
     from .symmetric import ConcentricProblem, solve_concentric
 
-    bounds = DensityBounds(0.5, 1.5)
-    profiles = []
-    for vo in (-1.0, 0.0, 1.0):
-        law = make_law("const:1.0", f"const:{vo}", 0.5, 2.0, bounds)
-        p = ConcentricProblem(
-            lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            law, 0.0, 1.0, 1.0, 2.0, n=65,
-        )
-        profiles.append(solve_concentric(p).profile)
-    return max(float(np.max(np.abs(g - profiles[0]))) for g in profiles[1:]), 1e-12
+    return _const_odd_spread(
+        solve_concentric,
+        lambda rho, law: ConcentricProblem(rho, law, 0.0, 1.0, 1.0, 2.0, n=65)), 1e-12
 
 
 def _check_parallel_strict(seed):

@@ -68,11 +68,6 @@ class EvolveConfig:
         if self.bounds != self.law.bounds:
             raise ValueError("bounds must equal the viscosity law's bounds")
 
-    @property
-    def cutoff(self):
-        """The 2/3-rule dealiasing cutoff."""
-        return min(self.grid.n1, self.grid.n2) // 3
-
 
 @dataclass(frozen=True)
 class InitialData:
@@ -161,7 +156,7 @@ def _weighted_hat(grid, w, vhat):
     return _rfft(v)
 
 
-def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
+def _advective_rhs(grid, law, rho, u, uhat, f):
     """rfft2 coefficients of the velocity tendency before pressure,
     -(u.grad)u + div(sigma)/rho + f, as a (2, n1, m) stack, of the velocity
     stack `u` with rfft2 coefficients `uhat`, and the state's dissipation
@@ -175,7 +170,7 @@ def _advective_rhs(grid, law, rho, u, uhat, f, cutoff):
     tendency is written over the stress coefficients, whose array the
     returned stack is a view of.
     """
-    mask = _rfft_mode_mask(grid, cutoff)
+    mask = _rfft_mode_mask(grid)
     u1, u2 = u
     d1u1, d2u1, d1u2, d2u2 = _gradient_planes(grid, uhat)
     me = law.mu_e(rho)
@@ -307,14 +302,13 @@ def _project_tendency(grid, rho, ghat, p0=None):
     return ghat, qhat, (iterations, residual)
 
 
-def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u, uhat, f,
-                     cutoff, p0=None):
+def recover_pressure(grid: Grid2D, law: ViscosityLaw, rho, u, uhat, f, p0=None):
     """rfft2 coefficients of the mean-zero pressure consistent with the
     instantaneous state, and the state's dissipation rate; `u` is the
     velocity stack and `uhat` its rfft2 coefficients.  The pressure solves
     div((1/rho) grad q) = div g for the pre-pressure tendency g, whose
     coefficients `_advective_rhs` returns."""
-    ghat, dissipation = _advective_rhs(grid, law, rho, u, uhat, f, cutoff)
+    ghat, dissipation = _advective_rhs(grid, law, rho, u, uhat, f)
     return solve_pressure(grid, rho, _div_hat(grid, ghat), p0=p0)[0], dissipation
 
 
@@ -402,7 +396,6 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     (`_warm_start`).
     """
     grid = config.grid
-    cutoff = config.cutoff
 
     f_now = force(state.t) if force else None
     f_next = force(state.t + dt) if force else None
@@ -414,14 +407,14 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
 
     u = state.u.data
     uhat = _rfft(u)
-    ghat, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now, cutoff)
+    ghat, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now)
     khat, q1, cg1 = _project_tendency(grid, rho0, ghat, p0=_warm_start(q1s, state.t))
     # the stiff part is -lam * uhat, lam = nu_s |k|^2; n0 is the rest of
     # the projected stage-1 tendency; the mode cutoff is folded into the
     # weights
     nu_s = max(float(np.max(config.law.mu_e(r) / r)) for r in (rho0, rho1))
     lam = nu_s * _rfft_laplacian_symbol(grid)
-    mask = _rfft_mode_mask(grid, cutoff)
+    mask = _rfft_mode_mask(grid)
     decay, w1, w2 = _etd_weights(dt * lam)
     decay *= mask
     w1 *= dt * mask
@@ -430,7 +423,7 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     uhat = decay * uhat + w1 * n0
     u = _irfft(grid, uhat)
     del ghat, khat, decay, w1  # not needed in stage 2, whose right side is the peak
-    ghat, _ = _advective_rhs(grid, config.law, rho1, u, uhat, f_next, cutoff)
+    ghat, _ = _advective_rhs(grid, config.law, rho1, u, uhat, f_next)
     khat, q2, cg2 = _project_tendency(grid, rho1, ghat, p0=_warm_start(q2s, state.t + dt))
     uhat += w2 * (khat + lam * uhat - n0)
     del ghat, khat, n0
@@ -521,7 +514,7 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
         u = state.u.data
         qhat, dissipation = recover_pressure(
             grid, law, state.rho.values, u, _rfft(u), force(state.t) if force else None,
-            config.cutoff, p0=_warm_start(warm.get("q1"), state.t))
+            p0=_warm_start(warm.get("q1"), state.t))
         states.append(replace(state, pressure=ScalarField(grid, _irfft(grid, qhat))))
         record(state, dissipation)
     except NonFiniteError as e:

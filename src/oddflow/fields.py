@@ -138,8 +138,10 @@ def _rfft_derivative_symbols(grid: Grid2D):
 
 
 @lru_cache(maxsize=64)
-def _rfft_mode_mask(grid: Grid2D, cutoff: int):
-    """Boolean keep-mask for |m1|, |m2| <= cutoff on the rfft2 layout."""
+def _rfft_mode_mask(grid: Grid2D):
+    """Boolean keep-mask for |m1|, |m2| <= min(n1, n2) // 3 (the 2/3 rule)
+    on the rfft2 layout."""
+    cutoff = min(grid.n1, grid.n2) // 3
     m1 = np.abs(np.fft.fftfreq(grid.n1, d=1.0 / grid.n1))
     m2 = np.arange(grid.n2 // 2 + 1)
     return (m1[:, None] <= cutoff) & (m2[None, :] <= cutoff)

@@ -123,6 +123,12 @@ class SymmetricSolution:
     extras: dict = field(default_factory=dict)
 
 
+def _coefficients(p, nodes):
+    """Density and the even and odd viscosities of `p` at `nodes`."""
+    rho = np.asarray(p.rho_profile(nodes), dtype=float)
+    return rho, p.law.mu_e(rho), p.law.mu_o(rho)
+
+
 # -------------------------------------------------------------- parallel
 
 def _cumquad(fn, nodes, breakpoints):
@@ -145,8 +151,9 @@ def solve_parallel(p: ParallelProblem) -> SymmetricSolution:
     """
     x = np.linspace(p.a, p.b, p.n)
 
+    # the integrands take a scalar (from quad) or the node array
     def inv_mu(s):
-        return 1.0 / float(p.law.mu_e(np.asarray(p.rho_profile(s))))
+        return 1.0 / p.law.mu_e(np.asarray(p.rho_profile(s), dtype=float))
 
     def x_inv_mu(s):
         return s * inv_mu(s)
@@ -159,9 +166,7 @@ def solve_parallel(p: ParallelProblem) -> SymmetricSolution:
         return (p.C * s + c1) * inv_mu(s)
 
     u1 = p.u_a + _cumquad(uprime, x, p.breakpoints)
-    up = np.array([uprime(s) for s in x])
-    mo = p.law.mu_o(np.asarray(p.rho_profile(x), dtype=float))
-    beta = mo * up                       # d2 pi = beta'(x2)
+    beta = _coefficients(p, x)[2] * uprime(x)    # d2 pi = beta'(x2)
     extras = {"C1": c1}
     if p.mode == "strict":
         h = x[1] - x[0]
@@ -182,14 +187,12 @@ def solve_concentric(p: ConcentricProblem) -> SymmetricSolution:
     r = np.linspace(p.r_in, p.r_out, p.n)
 
     def gprime(s):
-        me = float(p.law.mu_e(np.asarray(p.rho_profile(s))))
+        me = p.law.mu_e(np.asarray(p.rho_profile(s), dtype=float))
         return (p.C * s * s / 2.0 + p.C1) / (s**3 * me)
 
     g = p.g_in + _cumquad(gprime, r, p.breakpoints)
-
-    rho = np.asarray(p.rho_profile(r), dtype=float)
-    mo = p.law.mu_o(rho)
-    gp = np.array([gprime(s) for s in r])
+    rho, _, mo = _coefficients(p, r)
+    gp = gprime(r)
 
     # beta'(r) = r rho g^2 + d_r(mu_o r^3 g') / r^2, integrated numerically
     h = r[1] - r[0]
@@ -213,23 +216,6 @@ def _spectral_deriv_matrix(n):
     return np.fft.irfft(1j * k[None, :] * np.fft.rfft(eye, axis=1), n=n, axis=1)
 
 
-def _radial_f_and_jac(p: RadialProblem, h, theta, d):
-    rho = np.asarray(p.rho_profile(theta), dtype=float)
-    me = p.law.mu_e(rho)
-    mo = p.law.mu_o(rho)
-    dh = d @ h
-    f = (
-        rho * h * h + d @ (me * dh) - 2.0 * (d @ (mo * h))
-        + 4.0 * me * h + 2.0 * mo * dh - p.C
-    )
-    jac = (
-        np.diag(2.0 * rho * h + 4.0 * me)
-        + d @ (me[:, None] * d) - 2.0 * d @ np.diag(mo)
-        + 2.0 * mo[:, None] * d
-    )
-    return f, jac
-
-
 def solve_radial(p: RadialProblem, tol=1e-10, max_iter=50) -> SymmetricSolution:
     """Newton iteration on the Fourier-collocated radial profile equation.
 
@@ -241,8 +227,9 @@ def solve_radial(p: RadialProblem, tol=1e-10, max_iter=50) -> SymmetricSolution:
     n = p.collocation_n
     theta = 2.0 * np.pi * np.arange(n) / n
     d = _spectral_deriv_matrix(n)
-    rho_bar = float(np.mean(p.rho_profile(theta)))
-    me_bar = float(np.mean(p.law.mu_e(np.asarray(p.rho_profile(theta), dtype=float))))
+    rho, me, mo = _coefficients(p, theta)
+    rho_bar = float(np.mean(rho))
+    me_bar = float(np.mean(me))
     if p.C == 0.0:
         h = np.zeros(n)
     else:
@@ -252,18 +239,25 @@ def solve_radial(p: RadialProblem, tol=1e-10, max_iter=50) -> SymmetricSolution:
         h = np.full(n, (-2.0 * me_bar + np.sqrt(disc)) / rho_bar)
     history = []
     for _ in range(max_iter):
-        f, jac = _radial_f_and_jac(p, h, theta, d)
+        dh = d @ h
+        f = (
+            rho * h * h + d @ (me * dh) - 2.0 * (d @ (mo * h))
+            + 4.0 * me * h + 2.0 * mo * dh - p.C
+        )
         res = float(np.max(np.abs(f)))
         history.append(res)
         if res <= tol:
-            mo = p.law.mu_o(np.asarray(p.rho_profile(theta), dtype=float))
-            me = p.law.mu_e(np.asarray(p.rho_profile(theta), dtype=float))
             return SymmetricSolution(
                 "radial", theta, h,
                 {"alpha_hat_coeff": -p.C / 2.0,
-                 "pi_theta_part": 2.0 * me * h + mo * (d @ h)},
+                 "pi_theta_part": 2.0 * me * h + mo * dh},
                 extras={"newton_residuals": history},
             )
+        jac = (
+            np.diag(2.0 * rho * h + 4.0 * me)
+            + d @ (me[:, None] * d) - 2.0 * d * mo
+            + 2.0 * mo[:, None] * d
+        )
         h = h - np.linalg.solve(jac, f)
     raise RuntimeError(
         f"Newton failed: residual {history[-1]:.3e} after {max_iter} iterations"
@@ -306,6 +300,9 @@ def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
     The density is the pullback of mu_o under nu_o(rho) = rho, so rho = mu_o.
     """
     lo, hi = mu_o_values
+    if not all(math.isfinite(v) and v > 0.0 for v in (lo, hi)):
+        raise ValueError("mu_o_values must be finite and positive: they are "
+                         "also the density (rho = mu_o)")
     report = []
     for n in levels:
         theta = 2.0 * np.pi * np.arange(n) / n
@@ -364,25 +361,24 @@ def _radial_jump_rescue(C, n, mo_center, rho, mu_e_target):
     # For piecewise-constant data the face value is the owning side's.
     mo_face = np.where(theta + dth / 2.0 < np.pi, mo_center[0], mo_center[-1])
 
-    def residual(h, mu_e):
-        hp = np.roll(h, -1, axis=0)
-        hm = np.roll(h, 1, axis=0)
-        if h.ndim == 2:         # columnwise linear part (no quadratic, no C)
-            flux = mu_e * (hp - h) / dth - mo_face[:, None] * (h + hp)
-            div_flux = (flux - np.roll(flux, 1, axis=0)) / dth
-            odd = 2.0 * mo_center[:, None] * (hp - hm) / (2.0 * dth)
-            return div_flux + 4.0 * mu_e * h + odd
+    def linear(h, mu_e):
+        """The operator without its quadratic term and C, applied along
+        the last axis of h."""
+        hp = np.roll(h, -1, axis=-1)
+        hm = np.roll(h, 1, axis=-1)
         flux = mu_e * (hp - h) / dth - mo_face * (h + hp)
-        div_flux = (flux - np.roll(flux, 1, axis=0)) / dth
-        odd = 2.0 * mo_center * (hp - hm) / (2.0 * dth)
-        return rho * h * h + div_flux + 4.0 * mu_e * h + odd - C
+        div_flux = (flux - np.roll(flux, 1, axis=-1)) / dth
+        return div_flux + 4.0 * mu_e * h + 2.0 * mo_center * (hp - hm) / (2.0 * dth)
+
+    def residual(h, mu_e):
+        return rho * h * h + linear(h, mu_e) - C
 
     ladder = [4.0, 2.0, 1.0, 0.7, 0.5, 0.35, 0.25, 0.18, 0.14, 0.12, 0.11]
     ladder = [m for m in ladder if m > mu_e_target] + [mu_e_target]
     h = np.full(n, 0.2 * np.sign(C) if C != 0.0 else 0.0)
     res = np.inf
     for mu_e in ladder:
-        lin = residual(np.eye(n), mu_e)     # linear part, columnwise
+        lin = linear(np.eye(n), mu_e).T     # its row k is the image of e_k
         for _ in range(_RADIAL_ITERATIONS):
             g = residual(h, mu_e)
             res = float(np.linalg.norm(g) / np.sqrt(n))
@@ -425,9 +421,7 @@ def verify_full_momentum(sol: SymmetricSolution, problem) -> float:
 def _verify_parallel(sol: SymmetricSolution, p: ParallelProblem) -> float:
     x = sol.nodes
     h = x[1] - x[0]
-    rho = np.asarray(p.rho_profile(x), dtype=float)
-    me = p.law.mu_e(rho)
-    mo = p.law.mu_o(rho)
+    rho, me, mo = _coefficients(p, x)
     up = np.gradient(sol.profile, h)
     # component 1: -d2(mu_e d2 u1) + d1 pi, with d1 pi = C
     r1 = -np.gradient(me * up, h) + sol.pressure["C"]
@@ -441,9 +435,7 @@ def _verify_concentric(sol: SymmetricSolution, p: ConcentricProblem) -> float:
     r = sol.nodes
     h = r[1] - r[0]
     g = sol.profile
-    rho = np.asarray(p.rho_profile(r), dtype=float)
-    me = p.law.mu_e(rho)
-    mo = p.law.mu_o(rho)
+    rho, me, mo = _coefficients(p, r)
     gp = np.gradient(g, h)
     # e_theta: -d_r(r^3 mu_e g') / r^2 - (1/r) d_theta pi, d_theta pi = -C
     rth = -np.gradient(r**3 * me * gp, h) / r**2 + p.C / r
@@ -459,9 +451,7 @@ def _verify_radial(sol: SymmetricSolution, p: RadialProblem) -> float:
     n = len(theta)
     d = _spectral_deriv_matrix(n)
     hprof = sol.profile
-    rho = np.asarray(p.rho_profile(theta), dtype=float)
-    me = p.law.mu_e(rho)
-    mo = p.law.mu_o(rho)
+    rho, me, mo = _coefficients(p, theta)
     dh = d @ hprof
     # pi = (2 mu_e h + mu_o dh) / r^2 + alpha_hat(r), alpha_hat = -C/(2 r^2)
     pi_theta = 2.0 * me * hprof + mo * dh

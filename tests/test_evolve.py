@@ -586,10 +586,8 @@ def test_run_evaluates_each_state_once(monkeypatch):
     data = InitialData(perturbed_density(g, seed=34),
                        random_divfree_field(g, seed=35, cutoff=4))
     cfg = make_config(g, 2e-3, 0.02, nu_e="affine:0.75,0.5", nu_o="prop:0.5")
-    cutoff = cfg.cutoff
     u0 = np.stack((data.u0.comp1, data.u0.comp2))
-    cold, _ = evolve.recover_pressure(g, cfg.law, data.rho0.values, u0, _rfft(u0),
-                                      None, cutoff)
+    cold, _ = evolve.recover_pressure(g, cfg.law, data.rho0.values, u0, _rfft(u0), None)
     rhs = _count_calls(monkeypatch, "_advective_rhs")
     recoveries = _count_calls(monkeypatch, "recover_pressure")
     states, ledger = run(cfg, data)
@@ -603,7 +601,6 @@ def test_run_evaluates_each_state_once(monkeypatch):
     assert len(states) == steps + 1
     for st in states:
         u = np.stack((st.u.comp1, st.u.comp2))
-        phat, _ = evolve.recover_pressure(g, cfg.law, st.rho.values, u, _rfft(u),
-                                          None, cutoff)
+        phat, _ = evolve.recover_pressure(g, cfg.law, st.rho.values, u, _rfft(u), None)
         p = _irfft(g, phat)
         assert np.max(np.abs(st.pressure.values - p)) <= 1e-9 * np.max(np.abs(p))

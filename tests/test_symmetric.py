@@ -201,3 +201,40 @@ def test_shear_viscosity_restores_solvability():
     report = radial_nonexistence_demo(C=1.0, levels=(128,), mu_e=0.1)
     assert report[0]["residual"] <= 1e-10
     assert np.isfinite(report[0]["h1_seminorm"])
+
+
+@pytest.mark.parametrize("mu_e", [0.0, 0.1])
+@pytest.mark.parametrize("mu_o_values", [(0.5, -1.0), (0.0, 1.0), (np.nan, 1.0)],
+                         ids=["negative", "zero", "nan"])
+def test_nonexistence_demo_rejects_a_non_positive_density(mu_o_values, mu_e):
+    # the demo's density is its odd viscosity, so both values must be
+    # finite and positive
+    with pytest.raises(ValueError, match="mu_o_values"):
+        radial_nonexistence_demo(C=2.5, levels=(64,), mu_o_values=mu_o_values,
+                                 mu_e=mu_e)
+
+
+# ------------------------------------------------------------ sampling
+
+def counting(rho_profile):
+    calls = []
+
+    def counted(s):
+        calls.append(np.shape(s))
+        return rho_profile(s)
+    return counted, calls
+
+
+def test_radial_and_verification_sample_the_density_once():
+    rho, calls = counting(lambda s: 1.0 + 0.3 * np.sin(np.asarray(s, dtype=float)))
+    radial = RadialProblem(rho, law(nu_o="prop:0.5"), 5.0)
+    sol = solve_radial(radial)
+    assert len(sol.extras["newton_residuals"]) > 2 and calls == [(64,)]
+    del calls[:]
+    verify_full_momentum(sol, radial)
+    assert calls == [(64,)]
+    concentric = ConcentricProblem(rho, law(nu_o="prop:0.5"), 1.0, 0.5, 1.0, 2.0, n=33)
+    sol = solve_concentric(concentric)
+    del calls[:]
+    verify_full_momentum(sol, concentric)
+    assert calls == [(33,)]
