@@ -76,11 +76,14 @@ class InitialData:
     force: Optional[ForceFn] = None
 
     def validate(self, bounds: DensityBounds):
+        self._validate(bounds, _velocity_gradient(self.u0))
+
+    def _validate(self, bounds, grad_u):
+        """`validate`, given u0's derivative planes (d1u1, d2u1, d1u2, d2u2)."""
         if not bounds.contains(self.rho0.values):
             raise ValueError("initial density leaves the admissible bounds")
         # relative to the velocity gradient: the spectral divergence of a
         # divergence-free field rounds in proportion to its amplitude
-        grad_u = _velocity_gradient(self.u0)  # d1u1, d2u1, d1u2, d2u2
         scale = max(1.0, np.max(np.abs(grad_u)))
         if np.max(np.abs(grad_u[0] + grad_u[3])) > 1e-10 * scale:
             raise ValueError("initial velocity is not divergence-free")
@@ -156,7 +159,7 @@ def _weighted_hat(grid, w, vhat):
     return _rfft(v)
 
 
-def _advective_rhs(grid, law, rho, u, uhat, f):
+def _advective_rhs(grid, law, rho, u, uhat, f, grad=None):
     """rfft2 coefficients of the velocity tendency before pressure,
     -(u.grad)u + div(sigma)/rho + f, as a (2, n1, m) stack, of the velocity
     stack `u` with rfft2 coefficients `uhat`, and the state's dissipation
@@ -165,14 +168,19 @@ def _advective_rhs(grid, law, rho, u, uhat, f):
     Single fused spectral pass: velocity derivatives are computed once and
     shared by the advection term, both strain tensors and the dissipation
     rate; the 2/3 mask is applied inside the same transform as each
-    product's derivative.  The derivative stack is freed before the five
-    products are transformed, which bounds the peak memory, and the
-    tendency is written over the stress coefficients, whose array the
-    returned stack is a view of.
+    product's derivative.  `grad` is the derivative stack
+    `_gradient_planes(grid, uhat)` when the caller has it already (`run`
+    has u0's, from its divergence check); it is then not recomputed, and
+    the caller must keep no reference to it.  The derivative stack is
+    freed before the five products are transformed, which bounds the
+    peak memory, and the tendency is written over the stress
+    coefficients, whose array the returned stack is a view of.
     """
     mask = _rfft_mode_mask(grid)
     u1, u2 = u
-    d1u1, d2u1, d1u2, d2u2 = _gradient_planes(grid, uhat)
+    if grad is None:
+        grad = _gradient_planes(grid, uhat)
+    d1u1, d2u1, d1u2, d2u2 = grad
     me = law.mu_e(rho)
     mo = law.mu_o(rho)
     off_sym = d2u1 + d1u2
@@ -187,7 +195,7 @@ def _advective_rhs(grid, law, rho, u, uhat, f):
     prod[2] = me * (2.0 * d1u1) + mo * (-off_sym)
     prod[3] = me * off_sym + mo * off_odd
     prod[4] = me * (2.0 * d2u2) + mo * off_sym
-    del d1u1, d2u1, d1u2, d2u2, off_sym, off_odd, me, mo
+    del grad, d1u1, d2u1, d1u2, d2u2, off_sym, off_odd, me, mo
     phat = _rfft(prod)
     del prod
     phat *= mask
@@ -393,7 +401,9 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     solutions of the two projection solves ("q1" at the step's start time
     and "q2" at its end time, as (time, rfft2 coefficients) pairs); each
     solve starts from their cubic extrapolation to its own time
-    (`_warm_start`).
+    (`_warm_start`).  `run` also puts the initial state's velocity
+    coefficients and derivative planes there ("uhat" and "grad"), which
+    the first step pops and uses instead of transforming u0 again.
     """
     grid = config.grid
 
@@ -406,8 +416,11 @@ def step(state: SimulationState, config: EvolveConfig, force: Optional[ForceFn],
     q1s, q2s = warm.setdefault("q1", []), warm.setdefault("q2", [])
 
     u = state.u.data
-    uhat = _rfft(u)
-    ghat, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now)
+    uhat = warm.pop("uhat") if "uhat" in warm else _rfft(u)
+    # popped into the call, so that the derivative planes are freed inside
+    # it as they are when it computes them
+    ghat, dissipation = _advective_rhs(grid, config.law, rho0, u, uhat, f_now,
+                                       warm.pop("grad", None))
     khat, q1, cg1 = _project_tendency(grid, rho0, ghat, p0=_warm_start(q1s, state.t))
     # the stiff part is -lam * uhat, lam = nu_s |k|^2; n0 is the rest of
     # the projected stage-1 tendency; the mode cutoff is folded into the
@@ -447,7 +460,10 @@ def _work_rate(grid, rho, u, f):
 def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     """Integrate to t_end.  Returns (states, ledger).
 
-    store_every=k keeps every k-th state (k=0: first and last only).  Each
+    store_every=k keeps every k-th state (k=0: first and last only).  u0
+    is transformed once: the divergence check of `InitialData.validate`
+    reads the derivative planes that the first step's stage 1 then takes
+    over, through `warm`, so that `run` holds no reference to them.  Each
     state's right side is evaluated once: the first stage of the step that
     starts from a state solves for its pressure and gives its dissipation
     rate, and only the final state has its own `recover_pressure`, warm
@@ -463,8 +479,10 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
     """
     k, state = 0, None
     try:
-        data.validate(config.bounds)
         grid, law, force = config.grid, config.law, data.force
+        warm = {"uhat": _rfft(data.u0.data)}
+        warm["grad"] = _gradient_planes(grid, warm["uhat"])
+        data._validate(config.bounds, warm["grad"])
         ledger = EnergyLedger()
         last = []  # the dissipation and work rates of the last recorded state
 
@@ -490,7 +508,7 @@ def run(config: EvolveConfig, data: InitialData, store_every: int = 0):
         state = SimulationState(0.0, data.rho0, data.u0)
         if not math.isfinite(_kinetic(grid, data.rho0.values, data.u0.data)):
             raise NonFiniteError("initial kinetic energy is not finite")
-        states, warm = [], {}
+        states = []
         while state.t < config.t_end - 1e-14:
             dt = stable_dt(config, state.u)
             limit = "config" if dt == config.dt else "cfl"

@@ -7,7 +7,10 @@ evolve solver transform through `_rfft`/`_irfft` (rfft2 layout,
 `numpy.fft`), which take stacked planes in one batched call.  They gave
 the same bits as `scipy.fft.rfft2`/`irfft2` on every even grid checked
 (all n1, n2 in 4..128, and n1 up to 514 against a few n2; numpy 2.4.6,
-scipy 1.17.1).
+scipy 1.17.1).  `_irfft` runs irfft2 as its two axis passes, which give
+irfft2's bits on the same grids, so that a caller that owns the
+coefficients (`_gradient_planes`, for its derivative temporary) can have
+the first pass written over them instead of into fresh memory.
 
 A field stores its components as one (k, n1, n2) stack, `data`: one
 plane for a scalar, two for a vector, four for a tensor.  Every batched
@@ -163,13 +166,19 @@ def _rfft(values):
     return np.fft.rfft2(values, out=out)
 
 
-def _irfft(grid, coeffs):
-    """Inverse of `_rfft` onto the grid, batched like it."""
+def _irfft(grid, coeffs, overwrite=False):
+    """Inverse of `_rfft` onto the grid, batched like it.  With
+    `overwrite`, the first (complex, axis -2) pass is written over
+    `coeffs`, which the caller must not read again."""
     n1, n2 = grid.n1, grid.n2
-    # scale once by 1/(n1*n2) at the end, as scipy.fft does: numpy's default
-    # scales by 1/n1 after the first axis pass and by 1/n2 after the second,
-    # which rounds differently unless n1 is a power of two
-    values = np.fft.irfft2(coeffs, s=(n1, n2), norm="forward")
+    # the two axis passes of irfft2, with its bits: irfft2 puts the first
+    # pass in fresh memory, whose page faults took about half the time of
+    # a 256^2 inverse; a caller that owns `coeffs` lends it instead.
+    # Scale once by 1/(n1*n2) at the end, as scipy.fft does: numpy's
+    # default scales by 1/n1 after the first pass and by 1/n2 after the
+    # second, which rounds differently unless n1 is a power of two
+    half = np.fft.ifft(coeffs, axis=-2, norm="forward", out=coeffs if overwrite else None)
+    values = np.fft.irfft(half, n2, axis=-1, norm="forward")
     values *= 1.0 / (n1 * n2)
     return values
 
@@ -215,9 +224,11 @@ def _velocity_gradient(u: VectorField):
 def _gradient_planes(grid, vhat):
     """(d1, d2) of each plane of the rfft2 coefficients `vhat`, in turn, as
     one stack of planes from one batched inverse transform: (d1 u1, d2 u1,
-    d1 u2, d2 u2) for the (2, n1, m) coefficients of a velocity."""
+    d1 u2, d2 u2) for the (2, n1, m) coefficients of a velocity.  The
+    derivative coefficients are this function's own temporary, so the
+    inverse transform overwrites them; `vhat` is left as it is."""
     dhat = _grad_hat(grid, vhat)
-    return _irfft(grid, dhat.reshape((-1,) + dhat.shape[-2:]))
+    return _irfft(grid, dhat.reshape((-1,) + dhat.shape[-2:]), overwrite=True)
 
 
 def grad(s: ScalarField) -> VectorField:

@@ -163,8 +163,8 @@ def boundary_data_from_g(domain: RectDomain, g, c0=0.0) -> BoundaryData:
     g is a callable (x, y) -> (g1, g2).  The boundary is traversed
     counterclockwise starting at the origin; tau is the counterclockwise
     unit tangent and n the outward normal, so g.tau equals g.(n-perp)
-    with n-perp = (-n2, n1).  Rejects data violating the zero-flux
-    compatibility condition.
+    with n-perp = (-n2, n1).  Rejects non-finite data and data violating
+    the zero-flux compatibility condition.
     """
     nx, ny, h = domain.nx, domain.ny, domain.h
     # node coordinates with exact end points, so that g sees the corners
@@ -182,7 +182,13 @@ def boundary_data_from_g(domain: RectDomain, g, c0=0.0) -> BoundaryData:
         path.append((0, j, (-1.0, 0.0)))
     path.append(path[0])
 
-    gn = np.array([np.dot(g(x[i], y[j]), n) for i, j, n in path])
+    # the flux and closure tests below are False for nan; a non-finite
+    # component of g makes its dot product with every normal non-finite
+    # (inf * 0 is nan), so this test covers the tangential data too
+    with np.errstate(invalid="ignore"):
+        gn = np.array([np.dot(g(x[i], y[j]), n) for i, j, n in path])
+    if not np.all(np.isfinite(gn)):
+        raise ValueError("boundary velocity is not finite")
     flux = float(np.trapezoid(gn, dx=h))
     if abs(flux) > 1e-10:
         raise ValueError(f"boundary velocity has nonzero flux {flux:.3e}")

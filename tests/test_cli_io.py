@@ -277,6 +277,27 @@ def test_stationary_rejects_net_flux_boundary(tmp_path):
     assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("key", ["bottom_t", "bottom_n"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_stationary_rejects_a_non_finite_boundary_value(tmp_path, capsys, key, value):
+    # the flux and closure tests are False for nan, so such a side value
+    # reached the solver and exited 3 ("Picard map turned non-finite")
+    bdry = _write(tmp_path / "b.cfg", f"{key} = {value}\n")
+    cfg = _write(tmp_path / "s.cfg", f"n = 16\nboundary_file = {bdry}\n")
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "boundary velocity is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_stationary_huge_finite_boundary_value_is_a_solver_failure(tmp_path):
+    # a finite side value is valid input, however large: its overflow is
+    # the solver's
+    bdry = _write(tmp_path / "b.cfg", "bottom_t = 1e300\n")
+    cfg = _write(tmp_path / "s.cfg", f"n = 16\nboundary_file = {bdry}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["stationary", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
 def test_stationary_rejects_bad_tol_and_max_iter(tmp_path, capsys):
     for key, value in (("max_iter", "0"), ("tol", "nan"), ("tol", "inf")):
         cfg = _write(tmp_path / "s.cfg", f"n = 16\n{key} = {value}\n")

@@ -191,6 +191,24 @@ def test_transform_pair_matches_scipy_bitwise(n1, planes):
     assert np.array_equal(_irfft(g, coeffs), scipy.fft.irfft2(coeffs, s=(g.n1, g.n2)))
 
 
+def test_inverse_axis_passes_match_irfft2_bitwise():
+    # `_irfft` runs irfft2 as its two axis passes; without `overwrite` it
+    # leaves its input as it is, with it the first pass is written there
+    rng = np.random.default_rng(9)
+    sizes = [(n1, n2) for n1 in (4, 6, 12, 30, 66) for n2 in (4, 10, 20, 48, 98)]
+    for n1, n2 in sizes + [(256, 256), (514, 64), (256, 96)]:
+        g = Grid2D(n1, n2)
+        for planes in ((), (3,)):
+            shape = planes + (n1, n2 // 2 + 1)
+            coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            kept = coeffs.copy()
+            want = np.fft.irfft2(kept, s=(n1, n2), norm="forward") * (1.0 / (n1 * n2))
+            assert np.array_equal(_irfft(g, coeffs), want)
+            assert np.array_equal(coeffs, kept)
+            assert np.array_equal(_irfft(g, coeffs, overwrite=True), want)
+            assert np.array_equal(coeffs, np.fft.ifft(kept, axis=-2, norm="forward"))
+
+
 @pytest.mark.parametrize("planes", [(), (3,)])
 def test_derivative_symbols_match_their_expressions_bitwise(planes):
     g = Grid2D(12, 20)
