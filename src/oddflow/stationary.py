@@ -27,15 +27,15 @@ phi0 = 0 boundary data, as in the manufactured problem and the
 tangential wall flows), A vanishes and the operator is a multiple of
 the clamped discrete biharmonic, which a DST-I solve with a capacitance
 correction on the first interior layer inverts exactly with no matrix
-(`_clamped_biharmonic_solver`).  A variable first map is assembled and
-factorized once (SuperLU on a minimum-degree ordering of A^T + A).  The
-defect needs only the operator's action, which the same weight tables
-apply without a matrix, so each further map costs one stencil
-application of the operator and one preconditioner solve.
+(`_clamped_biharmonic_solver`).  A variable first map is solved by a
+short GMRES that the same DST-I solve, at the mean coefficient,
+preconditions.  The defect and GMRES need only the operator's action,
+which the same weight tables apply without a matrix, so each further map
+costs one stencil application of the operator and one chord solve.
 
-Only the sparse path needs scipy, and it imports `scipy.sparse` when it
-runs: importing this module, and solving a problem whose first map has
-constant coefficients, load numpy alone.
+The solver runs on numpy alone.  Only the assembled matrices
+(`assemble_L`, `assemble_A`, `clamped_embedding`), which the tests take
+as oracles, import `scipy.sparse` when they run.
 """
 
 from __future__ import annotations
@@ -529,33 +529,79 @@ def _apply_operator(domain, mu_e, mu_o, phi_ext):
     return _stencil(mu_e * b + mu_o * t, _B, h) + _stencil(mu_e * t - mu_o * b, _T, h)
 
 
-def _sparse_chord_solver(domain, mu_e, mu_o):
-    """M_0^{-1} for M_0 = (L[mu_e] + A[mu_o]) E, assembled and factorized
-    by SuperLU on a minimum-degree ordering of A^T + A."""
-    from scipy.sparse.linalg import splu
+_GMRES_RTOL = 1e-2        # relative residual of a chord solve
+_GMRES_MAX_ITER = 50      # Krylov dimension before a chord solve fails
 
-    emb = _embedding_matrix(domain)
-    mat = ((assemble_L(domain, mu_e) + assemble_A(domain, mu_o)) @ emb).tocsc()
-    return splu(mat, permc_spec="MMD_AT_PLUS_A").solve
+
+def _gmres(apply, precondition, b, x):
+    """Improve x until |b - M x| <= _GMRES_RTOL |b|, M = `apply`, by GMRES
+    right-preconditioned with P = `precondition` (Saad & Schultz 1986),
+    without restarts: the correction P V y minimizes the residual over
+    the Krylov space of M P, y by least squares on the small Hessenberg
+    matrix.  Raises RuntimeError after _GMRES_MAX_ITER iterations.
+    """
+    r = b - apply(x)
+    beta, bound = np.linalg.norm(r), _GMRES_RTOL * np.linalg.norm(b)
+    # a nan or infinite residual stops here too, as no Krylov step can
+    # reduce it: picard_solve's non-finite check meets the map next
+    if not bound < beta < np.inf:
+        return x
+    basis = [r / beta]
+    hess = np.zeros((_GMRES_MAX_ITER + 1, _GMRES_MAX_ITER))
+    rhs = np.zeros(_GMRES_MAX_ITER + 1)
+    rhs[0] = beta
+    for k in range(_GMRES_MAX_ITER):
+        w = apply(precondition(basis[k]))
+        for j, v in enumerate(basis):         # modified Gram-Schmidt
+            hess[j, k] = v @ w
+            w -= hess[j, k] * v
+        hess[k + 1, k] = np.linalg.norm(w)
+        hk, rk = hess[:k + 2, :k + 1], rhs[:k + 2]
+        y = np.linalg.lstsq(hk, rk)[0]
+        if np.linalg.norm(rk - hk @ y) <= bound:
+            return x + precondition(np.column_stack(basis) @ y)
+        basis.append(w / hess[k + 1, k])
+    raise RuntimeError(f"GMRES left the chord solve above relative residual "
+                       f"{_GMRES_RTOL:g} after {_GMRES_MAX_ITER} iterations")
 
 
 def _chord_solver(domain, mu_e, mu_o):
     """M_0^{-1} as a callable, M_0 = (L[mu_e] + A[mu_o]) E the chord's
-    frozen matrix; raises RuntimeError when M_0 is singular.
+    frozen operator; raises RuntimeError when the coefficients are not
+    finite or the preconditioner's viscosity is 0.
 
-    Constant coefficients make A vanish and M_0 = mu K / h^4, which
-    `_clamped_biharmonic_solver` solves with no matrix.  np.ptp is nan,
-    not 0, when an entry is non-finite, so such a map goes to SuperLU,
-    which finds it singular.
+    The preconditioner P = h^4 / mu K^{-1}, mu the mean of mu_e, is
+    `_clamped_biharmonic_solver` scaled.  Constant coefficients make A
+    vanish and M_0 = mu K / h^4, so there P is M_0^{-1} exactly.  Else
+    the even part of M_0 lies between min mu_e and max mu_e times K / h^4,
+    whatever h is (Concus & Golub 1973), and a solve starts from P b and
+    runs `_gmres` on M_0, applied by stencils, until it is within
+    _GMRES_RTOL of b.
     """
-    if np.ptp(mu_e) == 0.0 and np.ptp(mu_o) == 0.0:
-        mu = float(mu_e.flat[0])
-        if mu == 0.0:
-            raise RuntimeError("constant viscosity 0 makes the operator singular")
-        fast = _clamped_biharmonic_solver(domain)
-        scale = domain.h ** 4 / mu
-        return lambda defect: scale * fast(defect)
-    return _sparse_chord_solver(domain, mu_e, mu_o)
+    if not (np.all(np.isfinite(mu_e)) and np.all(np.isfinite(mu_o))):
+        raise RuntimeError("the viscosities of the first map are not finite")
+    constant = np.ptp(mu_e) == 0.0 and np.ptp(mu_o) == 0.0
+    # mu_e's first entry, not its mean, keeps a constant map's bits
+    mu = float(mu_e.flat[0]) if constant else float(np.mean(mu_e))
+    if mu == 0.0:
+        raise RuntimeError("constant viscosity 0 makes the operator singular" if constant
+                           else "mean viscosity 0 makes the preconditioner singular")
+    fast = _clamped_biharmonic_solver(domain)
+    scale = domain.h ** 4 / mu
+
+    def precondition(r):
+        return scale * fast(r)
+
+    if constant:
+        return precondition
+    nx, ny = domain.nx, domain.ny
+    mid = np.zeros((nx + 2, ny + 2))         # an interior field zero-padded
+
+    def apply(phi):
+        mid[1:-1, 1:-1] = phi.reshape(nx, ny)
+        return _apply_operator(domain, mu_e, mu_o, _clamped_extend(domain, mid)).ravel()
+
+    return lambda b: _gmres(apply, precondition, b, precondition(b))
 
 
 _ANDERSON_DEPTH = 3
@@ -573,12 +619,13 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
 
     where M_0 = M(phi_1) is set up once, at the first map, and kept for
     the whole solve (`_chord_solver`: a DST-I capacitance solve when
-    M_0 has constant coefficients, SuperLU factors otherwise); the
-    product M(phi) phi is a stencil application of the operator, so a
-    later map costs that and one solve with M_0.
-    Its fixed points are those of the Picard map
-    phi -> M(phi)^{-1} rhs(phi).  With residuals f_k = G(phi_k) - phi_k,
-    the next iterate is (Walker & Ni 2011)
+    M_0 has constant coefficients, a GMRES it preconditions otherwise);
+    the product M(phi) phi is a stencil application of the operator, so
+    a later map costs that and one solve with M_0.  That GMRES stops at
+    a relative residual of 1e-2, so G is an inexact chord map, which
+    moves phi unless the defect is zero: its fixed points are still
+    those of the Picard map phi -> M(phi)^{-1} rhs(phi).  With residuals
+    f_k = G(phi_k) - phi_k, the next iterate is (Walker & Ni 2011)
 
         phi_{k+1} = phi_k + b f_k - (dPhi + b dF) gamma,
 
@@ -588,7 +635,7 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
     history this is the relaxation phi_k + b f_k.  Converged when both
     the update h |phi_{k+1} - phi_k| and the map residual h |f_k| are at
     most tol.  On the manufactured problem of the tests this takes 7
-    maps and no factorization.
+    maps and no GMRES.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -623,7 +670,12 @@ def picard_solve(problem: StationaryProblem, damping=1.0, tol=1e-9,
             except RuntimeError as e:
                 raise PicardError(f"factorization failed in iteration {it}: {e} "
                                   "(last update inf)", np.inf) from e
-        res = solve(defect)
+        try:
+            res = solve(defect)
+        except RuntimeError as e:
+            last = history[-1] if history else np.inf
+            raise PicardError(f"chord solve failed in iteration {it}: {e} "
+                              f"(last update {last:.3e})", last) from e
         if prev is not None:
             d_phi.append(phi_int - prev[0])
             d_res.append(res - prev[1])

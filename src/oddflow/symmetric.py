@@ -54,7 +54,6 @@ class ParallelProblem:
     u_b: float
     mode: str = "pressure_absorbed"
     n: int = 257
-    breakpoints: tuple = ()
 
     def __post_init__(self):
         _require_finite(self, "C", "a", "b", "u_a", "u_b")
@@ -81,7 +80,6 @@ class ConcentricProblem:
     r_out: float
     g_in: float = 0.0
     n: int = 257
-    breakpoints: tuple = ()
 
     def __post_init__(self):
         _require_finite(self, "C", "C1", "r_in", "r_out", "g_in")
@@ -131,13 +129,12 @@ def _coefficients(p, nodes):
 
 # -------------------------------------------------------------- parallel
 
-def _cumquad(fn, nodes, breakpoints):
+def _cumquad(fn, nodes):
     """Cumulative integral of fn from nodes[0] along the nodes, adaptive
-    per interval with known discontinuity locations honored."""
+    per interval."""
     out = np.zeros_like(nodes)
     for k in range(1, len(nodes)):
-        pts = [p for p in breakpoints if nodes[k - 1] < p < nodes[k]]
-        val, _ = quad(fn, nodes[k - 1], nodes[k], points=pts or None, limit=200)
+        val, _ = quad(fn, nodes[k - 1], nodes[k], limit=200)
         out[k] = out[k - 1] + val
     return out
 
@@ -158,14 +155,14 @@ def solve_parallel(p: ParallelProblem) -> SymmetricSolution:
     def x_inv_mu(s):
         return s * inv_mu(s)
 
-    i1, _ = quad(inv_mu, p.a, p.b, points=list(p.breakpoints) or None, limit=200)
-    ix, _ = quad(x_inv_mu, p.a, p.b, points=list(p.breakpoints) or None, limit=200)
+    i1, _ = quad(inv_mu, p.a, p.b, limit=200)
+    ix, _ = quad(x_inv_mu, p.a, p.b, limit=200)
     c1 = (p.u_b - p.u_a - p.C * ix) / i1
 
     def uprime(s):
         return (p.C * s + c1) * inv_mu(s)
 
-    u1 = p.u_a + _cumquad(uprime, x, p.breakpoints)
+    u1 = p.u_a + _cumquad(uprime, x)
     beta = _coefficients(p, x)[2] * uprime(x)    # d2 pi = beta'(x2)
     extras = {"C1": c1}
     if p.mode == "strict":
@@ -190,7 +187,7 @@ def solve_concentric(p: ConcentricProblem) -> SymmetricSolution:
         me = p.law.mu_e(np.asarray(p.rho_profile(s), dtype=float))
         return (p.C * s * s / 2.0 + p.C1) / (s**3 * me)
 
-    g = p.g_in + _cumquad(gprime, r, p.breakpoints)
+    g = p.g_in + _cumquad(gprime, r)
     rho, _, mo = _coefficients(p, r)
     gp = gprime(r)
 

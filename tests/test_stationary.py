@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -478,51 +480,49 @@ def _count_calls(monkeypatch, name, module=stationary):
     return calls
 
 
+def _channel(n, law, s, eta):
+    """n^2 channel flow g = (4 s y (1 - y), 0): its normal inflow varies
+    phi0 and the density, so the first map has variable coefficients."""
+    dom = RectDomain(n, n)
+    z = np.zeros((n + 2, n + 2))
+    bdry = boundary_data_from_g(dom, lambda x, y: (4.0 * s * y * (1.0 - y), 0.0))
+    return StationaryProblem(dom, law, eta, z, z, bdry)
+
+
 def _first_map_problems():
     """Problems whose first map phi = 0 has constant coefficients (the
     manufactured one and tangential wall flows), and one whose first map
-    varies: a channel flow with normal inflow, so phi0 and rho vary."""
+    varies: a channel flow."""
     law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, DensityBounds(0.5, 1.5))
     eta = eta_affine(1.0, 0.05, 2.0)
     constant = [_mms.problem(31)[0]] + [_wall_driven(speed, law, eta)
                                         for speed in (5.0, 20.0, 50.0)]
-    dom = RectDomain(16, 16)
-    z = np.zeros((18, 18))
-    channel = StationaryProblem(dom, law, eta, z, z, boundary_data_from_g(
-        dom, lambda x, y: (4.0 * y * (1.0 - y), 0.0)))
-    return constant, channel
+    return constant, _channel(16, law, 1.0, eta)
 
 
 def test_solve_factorizes_exactly_once(monkeypatch):
-    # the chord map sets up its preconditioner once, at the first map,
-    # and never calls a fresh sparse solve: a constant first map takes the
-    # DST-I capacitance solver and no factorization, a variable one is
-    # factorized once
+    # the chord map sets up the DST-I capacitance solver once, at the
+    # first map, constant or variable, and never calls SuperLU
     constant, channel = _first_map_problems()
     fast = _count_calls(monkeypatch, "_clamped_biharmonic_solver")
-    # the sparse path imports these names from scipy when it runs
     factorizations = _count_calls(monkeypatch, "splu", scipy.sparse.linalg)
     solves = _count_calls(monkeypatch, "spsolve", scipy.sparse.linalg)
-    for prob, want in [(p, (1, 0)) for p in constant] + [(channel, (0, 1))]:
+    for prob in constant + [channel]:
         fast.clear()
-        factorizations.clear()
         sol = picard_solve(prob)
-        assert (len(fast), len(factorizations)) == want and solves == []
+        assert len(fast) == 1 and factorizations == [] and solves == []
         assert sol.update_history[-1] <= 1e-9
 
 
 def test_solve_assembles_exactly_once(monkeypatch):
-    # a constant first map assembles no matrix; a variable one builds it
-    # once, to factorize it; every later defect applies the operator by
-    # stencils
+    # no first map assembles a matrix: every defect and every GMRES step
+    # applies the operator by stencils
     constant, channel = _first_map_problems()
-    even = _count_calls(monkeypatch, "assemble_L")
-    odd = _count_calls(monkeypatch, "assemble_A")
-    for prob, want in [(p, 0) for p in constant] + [(channel, 1)]:
-        even.clear()
-        odd.clear()
+    assembled = [_count_calls(monkeypatch, name)
+                 for name in ("assemble_L", "assemble_A", "clamped_embedding")]
+    for prob in constant + [channel]:
         sol = picard_solve(prob)
-        assert len(even) == want and len(odd) == want
+        assert assembled == [[], [], []]
         assert sol.update_history[-1] <= 1e-9
 
 
@@ -544,14 +544,22 @@ def test_constant_chord_solver_matches_superlu(nx, ny, lx, ly):
 
 def test_singular_or_non_finite_chord_is_refused():
     # a zero viscosity stops the fast path before it divides by it; a
-    # non-finite map is no constant one, and SuperLU refuses it
+    # non-finite map is refused before any solve
     dom = RectDomain(12, 12)
     zero = np.zeros((14, 14))
     with pytest.raises(RuntimeError, match="constant viscosity 0"):
         stationary._chord_solver(dom, zero, zero)
     for bad in (np.nan, np.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="singular"):
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="not finite"):
             stationary._chord_solver(dom, np.full((14, 14), bad), zero)
+
+
+def _superlu_chord(domain, mu_e, mu_o):
+    """The chord's frozen operator (L[mu_e] + A[mu_o]) E assembled and
+    factorized by SuperLU: the oracle of the matrix-free chord."""
+    emb, _ = clamped_embedding(domain, homogeneous_boundary(domain))
+    mat = (assemble_L(domain, mu_e) + assemble_A(domain, mu_o)) @ emb
+    return scipy.sparse.linalg.splu(mat.tocsc()).solve
 
 
 def test_fast_and_sparse_chords_take_the_same_maps(monkeypatch):
@@ -559,13 +567,43 @@ def test_fast_and_sparse_chords_take_the_same_maps(monkeypatch):
     # to rounding: the same maps and the same solution
     prob, _ = _mms.problem(31)
     fast = picard_solve(prob)
-    monkeypatch.setattr(stationary, "_chord_solver", stationary._sparse_chord_solver)
+    monkeypatch.setattr(stationary, "_chord_solver", _superlu_chord)
     factorizations = _count_calls(monkeypatch, "splu", scipy.sparse.linalg)
     sparse = picard_solve(prob)
     assert len(factorizations) == 1
     assert fast.iterations == sparse.iterations == 7
     assert len(fast.update_history) == len(sparse.update_history)
     assert np.linalg.norm(fast.phi - sparse.phi) <= 1e-12 * np.linalg.norm(sparse.phi)
+
+
+def test_matrix_free_chord_matches_superlu_on_channel_flows(monkeypatch):
+    # GMRES stops at a relative residual of 1e-2, so the maps may differ
+    # from those of the exact chord by a few; the fixed point may not
+    bounds, eta = DensityBounds(0.5, 1.5), eta_affine(1.0, 0.3, 2.0)
+    for n in (16, 31):
+        for laws in (("affine:0.75,0.5", "prop:0.5"), ("affine:0.5,1", "prop:1")):
+            for s in (1.0, 5.0):
+                prob = _channel(n, make_law(*laws, 0.5, 2.0, bounds), s, eta)
+                got = picard_solve(prob, max_iter=200)
+                with monkeypatch.context() as m:
+                    m.setattr(stationary, "_chord_solver", _superlu_chord)
+                    want = picard_solve(prob, max_iter=200)
+                assert got.iterations <= want.iterations + 2
+                assert np.linalg.norm(got.phi - want.phi) <= 1e-8 * np.linalg.norm(want.phi)
+
+
+def test_gmres_at_its_cap_names_the_iteration(monkeypatch):
+    # a chord solve that GMRES cannot finish stops the iteration with a
+    # PicardError that says in which map, and with which last update; three
+    # GMRES steps do for the first maps of this flow but not for all
+    law = make_law("affine:0.5,1", "prop:1", 0.5, 2.0, DensityBounds(0.5, 1.5))
+    monkeypatch.setattr(stationary, "_GMRES_MAX_ITER", 3)
+    with pytest.raises(PicardError, match="GMRES .* after 3 iterations") as exc:
+        picard_solve(_channel(16, law, 5.0, eta_affine(1.0, 0.3, 2.0)))
+    found = re.search(r"chord solve failed in iteration (\d+)", str(exc.value))
+    last = exc.value.last_update
+    assert found and int(found.group(1)) > 1 and np.isfinite(last)
+    assert f"(last update {last:.3e})" in str(exc.value)
 
 
 def test_singular_factorization_is_a_picard_error():

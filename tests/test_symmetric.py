@@ -75,8 +75,7 @@ def test_piecewise_viscosity_with_breakpoints():
     # two-layer Couette: mu_e = 1 below x = 0.5 and 2 above; the exact
     # profile is piecewise linear with slope ratio 2:1
     rho = lambda s: np.where(np.asarray(s, dtype=float) < 0.5, 1.0, 2.0)
-    p = ParallelProblem(rho, law(nu_e="prop:1.0"), 0.0, 0.0, 1.0, 0.0, 1.0,
-                        breakpoints=(0.5,))
+    p = ParallelProblem(rho, law(nu_e="prop:1.0"), 0.0, 0.0, 1.0, 0.0, 1.0)
     sol = solve_parallel(p)
     c1 = 1.0 / (0.5 / 1.0 + 0.5 / 2.0)
     x = sol.nodes
