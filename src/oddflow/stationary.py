@@ -145,8 +145,6 @@ class BoundaryData:
     phi1_right: np.ndarray        # (ny+2,)
     phi1_bottom: np.ndarray       # (nx+2,)
     phi1_top: np.ndarray          # (nx+2,)
-    c0: float = 0.0
-    flux: float = 0.0
 
 
 def homogeneous_boundary(domain: RectDomain) -> BoundaryData:
@@ -204,8 +202,7 @@ def boundary_data_from_g(domain: RectDomain, g, c0=0.0) -> BoundaryData:
     phi1_right = np.array([np.dot(g(x[-1], yj), (0.0, 1.0)) for yj in y])
     phi1_bottom = np.array([np.dot(g(xi, y[0]), (1.0, 0.0)) for xi in x])
     phi1_top = np.array([np.dot(g(xi, y[-1]), (-1.0, 0.0)) for xi in x])
-    return BoundaryData(phi0, phi1_left, phi1_right, phi1_bottom, phi1_top,
-                        float(c0), flux)
+    return BoundaryData(phi0, phi1_left, phi1_right, phi1_bottom, phi1_top)
 
 
 @dataclass(frozen=True)
@@ -568,7 +565,7 @@ def _gmres(apply, precondition, b, x):
 def _chord_solver(domain, mu_e, mu_o):
     """M_0^{-1} as a callable, M_0 = (L[mu_e] + A[mu_o]) E the chord's
     frozen operator; raises RuntimeError when the coefficients are not
-    finite or the preconditioner's viscosity is 0.
+    finite, a constant mu_e is 0 or a variable one is not positive.
 
     The preconditioner P = h^4 / mu K^{-1}, mu the mean of mu_e, is
     `_clamped_biharmonic_solver` scaled.  Constant coefficients make A
@@ -583,9 +580,10 @@ def _chord_solver(domain, mu_e, mu_o):
     constant = np.ptp(mu_e) == 0.0 and np.ptp(mu_o) == 0.0
     # mu_e's first entry, not its mean, keeps a constant map's bits
     mu = float(mu_e.flat[0]) if constant else float(np.mean(mu_e))
-    if mu == 0.0:
-        raise RuntimeError("constant viscosity 0 makes the operator singular" if constant
-                           else "mean viscosity 0 makes the preconditioner singular")
+    if constant and mu == 0.0:
+        raise RuntimeError("constant viscosity 0 makes the operator singular")
+    if not constant and np.min(mu_e) <= 0.0:
+        raise RuntimeError(f"min mu_e {np.min(mu_e):.3e} <= 0: the first map is not elliptic")
     fast = _clamped_biharmonic_solver(domain)
     scale = domain.h ** 4 / mu
 

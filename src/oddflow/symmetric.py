@@ -6,7 +6,9 @@ reconstructed pressure.  The module provides the three profile solvers,
 a full-residual verification that substitutes profile plus pressure back
 into the unreduced vector equations on a 2D verification grid, and the
 numerical demonstration that the radial problem with zero shear
-viscosity and a jump in the odd viscosity admits no H1 profile.
+viscosity and a jump in the odd viscosity admits no H1 profile.  The
+profile integrals use an adaptive Gauss-Lobatto rule in numpy, so the
+module needs no scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .viscosity import ViscosityLaw
 
@@ -122,48 +123,69 @@ class SymmetricSolution:
 
 
 def _coefficients(p, nodes):
-    """Density and the even and odd viscosities of `p` at `nodes`."""
+    """Density and the even and odd viscosities of `p` at `nodes`; raises
+    ValueError where the density leaves the law's bounds."""
     rho = np.asarray(p.rho_profile(nodes), dtype=float)
+    if not p.law.bounds.contains(rho):
+        raise ValueError("the density profile leaves the law's bounds")
     return rho, p.law.mu_e(rho), p.law.mu_o(rho)
 
 
 # -------------------------------------------------------------- parallel
 
+# the 10-point Gauss-Lobatto rule on [-1, 1]: the ends and the roots of P_9'
+_P9 = np.polynomial.legendre.Legendre.basis(9)
+_RULE_X = np.concatenate(([-1.0], _P9.deriv().roots(), [1.0]))
+_RULE_W = 2.0 / (90.0 * _P9(_RULE_X) ** 2)
+_QUAD_TOL = 1e-15          # per piece, relative to the sum of |integral| over the intervals
+_QUAD_MAX_SPLITS = 2**15   # bisections before a quadrature fails
+
+
 def _cumquad(fn, nodes):
-    """Cumulative integral of fn from nodes[0] along the nodes, adaptive
-    per interval."""
-    out = np.zeros_like(nodes)
-    for k in range(1, len(nodes)):
-        val, _ = quad(fn, nodes[k - 1], nodes[k], limit=200)
-        out[k] = out[k - 1] + val
-    return out
+    """Integral of fn from nodes[0] to every node, by adaptive bisection
+    (Piessens et al., QUADPACK, 1983) of all node intervals at once: a piece
+    whose rule and sum over its halves differ by more than _QUAD_TOL is
+    split.  The rule holds the piece's ends, so a jump next to one moves
+    that difference too.  fn gets each round's points as one 2-D array.
+    Raises RuntimeError after _QUAD_MAX_SPLITS bisections."""
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)[:, None]
+        return (half * fn(0.5 * (lo + hi)[:, None] + half * _RULE_X)) @ _RULE_W
+
+    lo, hi = nodes[:-1], nodes[1:]
+    owner = np.arange(1, len(nodes))     # the node that ends a piece's interval
+    whole = rule(lo, hi)
+    bound = _QUAD_TOL * np.sum(np.abs(whole))
+    parts, splits = np.zeros(len(nodes)), 0
+    while len(lo):
+        mid = 0.5 * (lo + hi)
+        halves = rule(np.concatenate((lo, mid)), np.concatenate((mid, hi))).reshape(2, -1)
+        fine = halves.sum(axis=0)
+        todo = ~(np.abs(fine - whole) <= bound)      # a nan piece stays unresolved
+        np.add.at(parts, owner[~todo], fine[~todo])
+        splits += np.count_nonzero(todo)
+        if splits > _QUAD_MAX_SPLITS:
+            raise RuntimeError(f"quadrature unresolved after {_QUAD_MAX_SPLITS} bisections")
+        lo, hi = np.concatenate((lo[todo], mid[todo])), np.concatenate((mid[todo], hi[todo]))
+        owner, whole = np.tile(owner[todo], 2), halves[:, todo].ravel()
+    return np.cumsum(parts)
 
 
 def solve_parallel(p: ParallelProblem) -> SymmetricSolution:
-    """Integrate mu_e u1' = C x2 + C1 with C1 fixed by the wall values.
+    """Integrate mu_e u1' = C x2 + C1 as u1 = u_a + C X + C1 I, with I and
+    X the integrals of 1/mu_e and x2/mu_e from a, and C1 fixed by u_b.
 
     Strict mode additionally reports how far mu_o u1' is from constant
     (the incompatibility of the second reduced equation); the
     pressure_absorbed mode balances that term with beta(x2) = mu_o u1'.
     """
     x = np.linspace(p.a, p.b, p.n)
-
-    # the integrands take a scalar (from quad) or the node array
-    def inv_mu(s):
-        return 1.0 / p.law.mu_e(np.asarray(p.rho_profile(s), dtype=float))
-
-    def x_inv_mu(s):
-        return s * inv_mu(s)
-
-    i1, _ = quad(inv_mu, p.a, p.b, limit=200)
-    ix, _ = quad(x_inv_mu, p.a, p.b, limit=200)
-    c1 = (p.u_b - p.u_a - p.C * ix) / i1
-
-    def uprime(s):
-        return (p.C * s + c1) * inv_mu(s)
-
-    u1 = p.u_a + _cumquad(uprime, x)
-    beta = _coefficients(p, x)[2] * uprime(x)    # d2 pi = beta'(x2)
+    _, me, mo = _coefficients(p, x)
+    inv = _cumquad(lambda s: 1.0 / _coefficients(p, s)[1], x)
+    xinv = _cumquad(lambda s: s / _coefficients(p, s)[1], x)
+    c1 = (p.u_b - p.u_a - p.C * xinv[-1]) / inv[-1]
+    u1 = p.u_a + p.C * xinv + c1 * inv
+    beta = mo * (p.C * x + c1) / me    # d2 pi = beta'(x2)
     extras = {"C1": c1}
     if p.mode == "strict":
         h = x[1] - x[0]
@@ -182,14 +204,13 @@ def solve_concentric(p: ConcentricProblem) -> SymmetricSolution:
     radial gradient absorbed by beta(r) in pi = -C theta + beta(r).
     """
     r = np.linspace(p.r_in, p.r_out, p.n)
+    rho, me, mo = _coefficients(p, r)
 
-    def gprime(s):
-        me = p.law.mu_e(np.asarray(p.rho_profile(s), dtype=float))
+    def gprime(s, me):
         return (p.C * s * s / 2.0 + p.C1) / (s**3 * me)
 
-    g = p.g_in + _cumquad(gprime, r)
-    rho, _, mo = _coefficients(p, r)
-    gp = gprime(r)
+    g = p.g_in + _cumquad(lambda s: gprime(s, _coefficients(p, s)[1]), r)
+    gp = gprime(r, me)
 
     # beta'(r) = r rho g^2 + d_r(mu_o r^3 g') / r^2, integrated numerically
     h = r[1] - r[0]

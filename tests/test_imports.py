@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -26,8 +28,8 @@ def test_each_regime_imports_only_its_own_modules():
     # each subcommand imports its regime when it runs
     assert _loaded_after("oddflow.cli", others) == []
     assert _loaded_after("oddflow.stationary", ["oddflow.symmetric", "scipy.integrate"]) == []
-    # only the symmetric solver needs scipy
-    for module in ("oddflow.evolve", "oddflow.cli", "oddflow.stationary"):
+    # no regime needs scipy
+    for module in ("oddflow.evolve", "oddflow.cli", "oddflow.stationary", "oddflow.symmetric"):
         assert _run(f"import sys, {module}\n"
                     "print(*[n for n in sys.modules if n.startswith('scipy')])") == []
 
@@ -62,6 +64,30 @@ def test_stationary_solves_load_no_scipy():
     # a channel inflow varies phi0 and the density; that first map's
     # GMRES applies the operator by stencils, on numpy alone too
     assert _run(_SOLVE.format(g="return (4.0 * y * (1.0 - y), 0.0)")) == []
+
+
+# one symmetry-reduced solve on a variable density, in a fresh
+# interpreter that then prints the scipy modules it has loaded
+_SYMMETRIC_SOLVE = """
+import sys
+import numpy as np
+from oddflow.symmetric import ConcentricProblem, ParallelProblem, RadialProblem, {solve}
+from oddflow.viscosity import DensityBounds, make_law
+
+law = make_law("affine:0.75,0.5", "prop:0.5", 0.5, 2.0, DensityBounds(0.5, 1.5))
+rho = lambda s: 1.0 + 0.3 * np.sin(s)
+{solve}({problem})
+print(*[n for n in sys.modules if n.startswith("scipy")])
+"""
+
+
+@pytest.mark.parametrize("solve, problem", [
+    ("solve_parallel", "ParallelProblem(rho, law, -2.0, 0.0, 1.0, 0.0, 1.0)"),
+    ("solve_concentric", "ConcentricProblem(rho, law, 1.0, 0.5, 1.0, 2.0)"),
+    ("solve_radial", "RadialProblem(rho, law, 5.0)"),
+], ids=["parallel", "concentric", "radial"])
+def test_symmetric_solves_load_no_scipy(solve, problem):
+    assert _run(_SYMMETRIC_SOLVE.format(solve=solve, problem=problem)) == []
 
 
 def test_package_root_exports_the_kernel_flag():
