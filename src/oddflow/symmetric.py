@@ -3,12 +3,14 @@
 Each symmetry class reduces the stationary momentum system to an ODE for
 a scalar profile; the removed components are balanced by an explicitly
 reconstructed pressure.  The module provides the three profile solvers,
-a full-residual verification that substitutes profile plus pressure back
-into the unreduced vector equations on a 2D verification grid, and the
-numerical demonstration that the radial problem with zero shear
-viscosity and a jump in the odd viscosity admits no H1 profile.  The
-profile integrals use an adaptive Gauss-Lobatto rule in numpy, so the
-module needs no scipy.
+a check that substitutes profile plus pressure back into both unreduced
+momentum components on the solution's own 1-D nodes, and the numerical
+demonstration that the radial problem with zero shear viscosity and a
+jump in the odd viscosity admits no H1 profile.  Each radial equation is
+written once, as its linear part along the last axis; Newton's matrix is
+that part applied to the identity plus the quadratic term's diagonal.
+The profile integrals use an adaptive Gauss-Lobatto rule in numpy, so
+the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -121,6 +123,13 @@ class SymmetricSolution:
     pressure: dict                # reconstruction pieces, kind-specific
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # a finite input can still overflow, and no run may end on it
+        for name, value in (("nodes", self.nodes), ("profile", self.profile),
+                            *self.pressure.items()):
+            if not np.all(np.isfinite(value)):
+                raise RuntimeError(f"{self.kind} solution: {name} is not finite")
+
 
 def _coefficients(p, nodes):
     """Density and the even and odd viscosities of `p` at `nodes`; raises
@@ -226,12 +235,18 @@ def solve_concentric(p: ConcentricProblem) -> SymmetricSolution:
 
 # ---------------------------------------------------------------- radial
 
-def _spectral_deriv_matrix(n):
-    """Dense first-derivative matrix of the n-point Fourier collocation."""
+def _d_theta(f):
+    """Fourier collocation derivative of 2 pi periodic samples along the
+    last axis, the unpaired Nyquist mode dropped."""
+    n = f.shape[-1]
     k = np.fft.rfftfreq(n, d=1.0 / n)
-    k[-1] = 0.0                           # drop the unpaired Nyquist mode
-    eye = np.eye(n)
-    return np.fft.irfft(1j * k[None, :] * np.fft.rfft(eye, axis=1), n=n, axis=1)
+    k[-1] = 0.0
+    return np.fft.irfft(1j * k * np.fft.rfft(f, axis=-1), n=n, axis=-1)
+
+
+def _d_centred(f):
+    """Centred periodic difference on [0, 2 pi) along the last axis."""
+    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (4.0 * np.pi / f.shape[-1])
 
 
 def solve_radial(p: RadialProblem, tol=1e-10, max_iter=50) -> SymmetricSolution:
@@ -244,8 +259,13 @@ def solve_radial(p: RadialProblem, tol=1e-10, max_iter=50) -> SymmetricSolution:
     """
     n = p.collocation_n
     theta = 2.0 * np.pi * np.arange(n) / n
-    d = _spectral_deriv_matrix(n)
     rho, me, mo = _coefficients(p, theta)
+
+    def linear(h):
+        """The operator without rho h^2 and C, along the last axis of h."""
+        dh = _d_theta(h)
+        return _d_theta(me * dh) - 2.0 * _d_theta(mo * h) + 4.0 * me * h + 2.0 * mo * dh
+
     rho_bar = float(np.mean(rho))
     me_bar = float(np.mean(me))
     if p.C == 0.0:
@@ -255,41 +275,24 @@ def solve_radial(p: RadialProblem, tol=1e-10, max_iter=50) -> SymmetricSolution:
         if disc < 0:
             raise ValueError("no real constant-coefficient root to start from")
         h = np.full(n, (-2.0 * me_bar + np.sqrt(disc)) / rho_bar)
-    history = []
+    history, lin = [], None
     for _ in range(max_iter):
-        dh = d @ h
-        f = (
-            rho * h * h + d @ (me * dh) - 2.0 * (d @ (mo * h))
-            + 4.0 * me * h + 2.0 * mo * dh - p.C
-        )
+        f = rho * h * h + linear(h) - p.C
         res = float(np.max(np.abs(f)))
         history.append(res)
         if res <= tol:
             return SymmetricSolution(
                 "radial", theta, h,
                 {"alpha_hat_coeff": -p.C / 2.0,
-                 "pi_theta_part": 2.0 * me * h + mo * dh},
+                 "pi_theta_part": 2.0 * me * h + mo * _d_theta(h)},
                 extras={"newton_residuals": history},
             )
-        jac = (
-            np.diag(2.0 * rho * h + 4.0 * me)
-            + d @ (me[:, None] * d) - 2.0 * d * mo
-            + 2.0 * mo[:, None] * d
-        )
-        h = h - np.linalg.solve(jac, f)
+        if lin is None:   # the zero start of C = 0 needs no n x n matrix
+            lin = linear(np.eye(n)).T     # its row k is the image of e_k
+        h = h - np.linalg.solve(lin + np.diag(2.0 * rho * h), f)
     raise RuntimeError(
         f"Newton failed: residual {history[-1]:.3e} after {max_iter} iterations"
     )
-
-
-def _fd_deriv_matrix(n):
-    """Centered periodic first-difference matrix on [0, 2 pi)."""
-    h = 2.0 * np.pi / n
-    d = np.zeros((n, n))
-    idx = np.arange(n)
-    d[idx, (idx + 1) % n] = 1.0 / (2.0 * h)
-    d[idx, (idx - 1) % n] = -1.0 / (2.0 * h)
-    return d
 
 
 _RADIAL_ITERATIONS = 60  # iterations per level (per continuation stage in the rescue)
@@ -317,6 +320,8 @@ def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
 
     The density is the pullback of mu_o under nu_o(rho) = rho, so rho = mu_o.
     """
+    if not math.isfinite(C):
+        raise ValueError("C must be finite")
     lo, hi = mu_o_values
     if not all(math.isfinite(v) and v > 0.0 for v in (lo, hi)):
         raise ValueError("mu_o_values must be finite and positive: they are "
@@ -329,7 +334,11 @@ def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
         if mu_e > 0.0:
             report.append(_radial_jump_rescue(C, n, mo, rho, mu_e))
             continue
-        d = _fd_deriv_matrix(n)
+
+        def linear(h):
+            return -2.0 * _d_centred(mo * h) + 2.0 * mo * _d_centred(h)
+
+        lin = linear(np.eye(n)).T
         pin = np.sqrt(max(C, 1e-3) / float(np.mean(rho)))
         h = np.full(n, pin)
         # Pin the value at the interface theta = pi: a nonzero trace
@@ -340,26 +349,19 @@ def radial_nonexistence_demo(C=1.0, levels=(64, 128, 256, 512),
         best = np.inf
         best_h = h
         for it in range(_RADIAL_ITERATIONS):
-            g = (
-                rho * h * h
-                - 2.0 * (d @ (mo * h)) + 2.0 * mo * (d @ h) - C
-            )
+            g = rho * h * h + linear(h) - C
             res = float(np.linalg.norm(g) / np.sqrt(n))
             if res < best:
                 best, best_h = res, h.copy()
             if res <= 1e-12:
                 break
-            jac = (
-                np.diag(2.0 * rho * h)
-                - 2.0 * d * mo + 2.0 * mo[:, None] * d
-            )
+            jac = lin + np.diag(2.0 * rho * h)
             step, *_ = np.linalg.lstsq(jac[:, free], -g, rcond=None)
             h = h.copy()
             h[free] += (0.5 if it < 10 else 1.0) * step
             if not np.all(np.isfinite(h)):
                 break
-        dh = d @ best_h
-        h1_semi = float(np.linalg.norm(dh) * np.sqrt(2.0 * np.pi / n))
+        h1_semi = float(np.linalg.norm(_d_centred(best_h)) * np.sqrt(2.0 * np.pi / n))
         report.append({"n": n, "residual": best, "h1_seminorm": h1_semi})
     return report
 
@@ -369,10 +371,11 @@ def _radial_jump_rescue(C, n, mo_center, rho, mu_e_target):
     viscosity and positive shear viscosity.
 
     Conservative finite volumes with the coefficient jumps on cell
-    faces, an analytic Jacobian, a backtracking line search, and
-    continuation from a diffusion-dominated shear viscosity down to the
-    target (the branch develops O(h/mu_e) derivative kinks at the jumps
-    and is unreachable by Newton from the constant state directly).
+    faces, the Jacobian taken from the operator itself, a backtracking
+    line search, and continuation from a diffusion-dominated shear
+    viscosity down to the target (the branch develops O(h/mu_e)
+    derivative kinks at the jumps and is unreachable by Newton from the
+    constant state directly).
     """
     dth = 2.0 * np.pi / n
     theta = dth * np.arange(n)
@@ -383,10 +386,9 @@ def _radial_jump_rescue(C, n, mo_center, rho, mu_e_target):
         """The operator without its quadratic term and C, applied along
         the last axis of h."""
         hp = np.roll(h, -1, axis=-1)
-        hm = np.roll(h, 1, axis=-1)
         flux = mu_e * (hp - h) / dth - mo_face * (h + hp)
         div_flux = (flux - np.roll(flux, 1, axis=-1)) / dth
-        return div_flux + 4.0 * mu_e * h + 2.0 * mo_center * (hp - hm) / (2.0 * dth)
+        return div_flux + 4.0 * mu_e * h + 2.0 * mo_center * _d_centred(h)
 
     def residual(h, mu_e):
         return rho * h * h + linear(h, mu_e) - C
@@ -411,21 +413,24 @@ def _radial_jump_rescue(C, n, mo_center, rho, mu_e_target):
                     break
                 lam *= 0.5
             h = h + lam * step
-    dh = (np.roll(h, -1) - np.roll(h, 1)) / (2.0 * dth)
-    h1_semi = float(np.linalg.norm(dh) * np.sqrt(dth))
+    h1_semi = float(np.linalg.norm(_d_centred(h)) * np.sqrt(dth))
     return {"n": n, "residual": res, "h1_seminorm": h1_semi}
 
 
 # ---------------------------------------------------------- verification
 
 def verify_full_momentum(sol: SymmetricSolution, problem) -> float:
-    """Substitute profile and reconstructed pressure into the unreduced
-    stationary momentum equations; returns the interior L-infinity
-    residual on a 2D verification grid.
+    """Substitute profile and reconstructed pressure into the two
+    unreduced stationary momentum components; returns their interior
+    L-infinity residual on the solution's own nodes, at the radii 1, 1.5
+    and 2 for radial flows.
 
-    All profile derivatives are recomputed by centered differences (or
-    spectrally in theta), so the residual measures the solution itself,
-    not the stored slopes.
+    Profile derivatives are recomputed by centered differences (or
+    spectrally in theta), not read from stored slopes.  The parallel
+    check differences the profile twice, so it reads rounding near
+    1e-12.  The radial e_r part is minus the solver's residual and the
+    e_theta part vanishes once pi_theta = 2 mu_e h + mu_o h', so that
+    check cannot catch an error in the theta derivative it shares.
     """
     if sol.kind == "parallel":
         return _verify_parallel(sol, problem)
@@ -465,22 +470,13 @@ def _verify_concentric(sol: SymmetricSolution, p: ConcentricProblem) -> float:
 
 
 def _verify_radial(sol: SymmetricSolution, p: RadialProblem) -> float:
-    theta = sol.nodes
-    n = len(theta)
-    d = _spectral_deriv_matrix(n)
-    hprof = sol.profile
-    rho, me, mo = _coefficients(p, theta)
-    dh = d @ hprof
-    # pi = (2 mu_e h + mu_o dh) / r^2 + alpha_hat(r), alpha_hat = -C/(2 r^2)
-    pi_theta = 2.0 * me * hprof + mo * dh
-    worst = 0.0
-    for r in (1.0, 1.5, 2.0):
-        # e_r: -rho h^2/r^3 - d(mu_e dh)/r^3 + 2 d(mu_o h)/r^3 + d_r pi
-        er = (
-            -rho * hprof**2 - d @ (me * dh) + 2.0 * (d @ (mo * hprof))
-            - 2.0 * pi_theta + p.C
-        ) / r**3
-        # e_theta: 2 d(mu_e h)/r^3 + d(mu_o dh)/r^3 - (1/r) d_theta pi
-        eth = (2.0 * (d @ (me * hprof)) + d @ (mo * dh) - d @ pi_theta) / r**3
-        worst = max(worst, float(np.max(np.abs(er))), float(np.max(np.abs(eth))))
-    return worst
+    h = sol.profile
+    rho, me, mo = _coefficients(p, sol.nodes)
+    dh = _d_theta(h)
+    # pi = pi_theta / r^2 + alpha_hat(r), alpha_hat = -C/(2 r^2)
+    pi_theta = sol.pressure["pi_theta_part"]
+    # r^3 e_r: -rho h^2 - d(mu_e dh) + 2 d(mu_o h) + r^3 d_r pi
+    er = -rho * h**2 - _d_theta(me * dh) + 2.0 * _d_theta(mo * h) - 2.0 * pi_theta + p.C
+    # r^3 e_theta: 2 d(mu_e h) + d(mu_o dh) - r^2 d_theta pi
+    eth = 2.0 * _d_theta(me * h) + _d_theta(mo * dh) - _d_theta(pi_theta)
+    return max(float(np.max(np.abs(e))) / r**3 for e in (er, eth) for r in (1.0, 1.5, 2.0))

@@ -89,7 +89,10 @@ def parse_law_spec(spec: str) -> Callable[[np.ndarray], np.ndarray]:
         (c,) = _finite_coefficients(spec, arg)
         return lambda r: c * np.asarray(r, dtype=float)
     if kind == "table":
-        data = np.loadtxt(arg)
+        try:
+            data = np.loadtxt(arg)
+        except OSError as e:
+            raise ValueError(f"viscosity table {arg!r} cannot be read: {e}") from e
         if data.ndim != 2 or data.shape[1] != 2:
             raise ValueError(f"viscosity table {arg!r} must have two columns")
         if not np.all(np.isfinite(data)):

@@ -410,6 +410,66 @@ def test_symmetric_rejects_bad_inputs(tmp_path, capsys, symmetry, key, value):
     assert f"invalid input: {key} must" in capsys.readouterr().err
 
 
+_TABLE_CASES = [
+    ("evolve", "nu_e"), ("evolve", "nu_o"),
+    ("stationary", "nu_e"), ("stationary", "nu_o"), ("stationary", "eta"),
+    ("symmetric", "nu_e"), ("symmetric", "nu_o"), ("symmetric", "rho"),
+    ("sweep-odd-limit", "nu_e"),
+]
+
+
+@pytest.mark.parametrize("command, key", _TABLE_CASES)
+def test_missing_table_file_is_an_input_error(tmp_path, capsys, command, key):
+    # np.loadtxt's FileNotFoundError escaped main: a traceback and exit 1
+    missing = str(tmp_path / "no_such_table.txt")
+    head = {"evolve": "n = 16\ndt = 1e-2\nt_end = 0.02\n",
+            "sweep-odd-limit": "n = 16\ndt = 1e-2\nt_end = 0.02\n",
+            "symmetric": "symmetry = radial\n"}.get(command, "")
+    cfg = _write(tmp_path / "t.cfg", f"{head}{key} = table:{missing}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert missing in capsys.readouterr().err
+
+
+def _symmetric_fuzz_cases(missing):
+    floats = [k for k, (cast, _) in cli._SYMMETRIC_SCHEMA.items() if cast is float]
+    laws = ["const:nan", "const:inf", "const:-1", "affine:1,nan", "const:0",
+            f"table:{missing}", "bogus:1", "const:", "affine:1"]
+    for symmetry in ("parallel", "concentric", "radial"):
+        for key in floats:
+            for value in ("nan", "inf", "-inf", "0", "-1", "1e300"):
+                yield symmetry, key, value
+        for key in ("n", "collocation_n"):
+            for value in ("0", "-1", "1", "5", "33", "4096"):
+                yield symmetry, key, value
+        for key in ("rho", "nu_e", "nu_o"):
+            for value in laws:
+                yield symmetry, key, value
+
+
+def test_symmetric_fuzz_exits_cleanly(tmp_path, capsys):
+    # every bad key exits 2 (input) or 3 (a genuine solver failure), and
+    # a run that exits 0 wrote only finite numbers
+    out = tmp_path / "out"
+    wrong = []
+    for symmetry, key, value in _symmetric_fuzz_cases(tmp_path / "missing.txt"):
+        for name in ("profile.csv", "residual.csv"):
+            (out / name).unlink(missing_ok=True)
+        cfg = _write(tmp_path / "f.cfg", f"symmetry = {symmetry}\n{key} = {value}\n")
+        try:
+            code = main(["symmetric", "--config", cfg, "--out", str(out)])
+        except Exception as exc:        # any escape from main is a wrong exit
+            code = repr(exc)
+        err = capsys.readouterr().err
+        if code == 0:
+            for name in ("profile.csv", "residual.csv"):
+                table = np.loadtxt(out / name, delimiter=",", skiprows=1)
+                if not np.all(np.isfinite(table)):
+                    wrong.append((symmetry, key, value, f"non-finite {name}"))
+        elif code not in (2, 3) or (code == 3 and "solver failure" not in err):
+            wrong.append((symmetry, key, value, code, err))
+    assert wrong == []
+
+
 def test_symmetric_nonexistence_demo(tmp_path):
     out = str(tmp_path / "demo")
     assert main(["symmetric", "--demo", "nonexistence", "--out", out]) == 0

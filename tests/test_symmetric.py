@@ -176,6 +176,36 @@ def test_radial_spectral_self_convergence():
     assert np.max(np.abs(fine.profile[::2] - coarse.profile)) < 1e-9
 
 
+def _fourier_derivative(f):
+    # spectral derivative of periodic samples, written apart from symmetric
+    n = len(f)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    return np.real(np.fft.ifft(1j * k * np.fft.fft(f)))
+
+
+def test_theta_derivative_has_the_right_sign():
+    from oddflow.symmetric import _d_theta
+
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    assert np.max(np.abs(_d_theta(np.sin(theta)) - np.cos(theta))) < 1e-13
+
+
+def test_radial_profile_solves_the_stated_equation():
+    # rho h^2 + (mu_e h')' - 2 (mu_o h)' + 4 mu_e h + 2 mu_o h' = C with
+    # variable mu_o, where a derivative of the wrong sign flips both odd
+    # terms (that profile read a residual of 0.64 here)
+    rho = lambda s: 1.0 + 0.3 * np.sin(np.asarray(s, dtype=float))
+    sol = solve_radial(RadialProblem(rho, law(nu_o="prop:0.5"), 5.0))
+    h, r = sol.profile, rho(sol.nodes)
+    me, mo = np.ones_like(r), 0.5 * r
+    d = _fourier_derivative
+    dh = d(h)
+    lhs = r * h * h + d(me * dh) - 2.0 * d(mo * h) + 4.0 * me * h + 2.0 * mo * dh
+    assert np.max(np.abs(lhs - 5.0)) < 1e-9
+    assert np.max(np.abs(sol.pressure["pi_theta_part"] - (2.0 * me * h + mo * dh))) < 1e-9
+
+
 def test_radial_newton_reports_divergence():
     with pytest.raises(RuntimeError, match="Newton"):
         rho = lambda s: 1.0 + 0.3 * np.sin(np.asarray(s, dtype=float))
@@ -211,6 +241,20 @@ def test_nonexistence_demo_rejects_a_non_positive_density(mu_o_values, mu_e):
     with pytest.raises(ValueError, match="mu_o_values"):
         radial_nonexistence_demo(C=2.5, levels=(64,), mu_o_values=mu_o_values,
                                  mu_e=mu_e)
+
+
+@pytest.mark.parametrize("C", [np.nan, np.inf])
+def test_nonexistence_demo_rejects_a_non_finite_source(C):
+    # it ran the whole study and failed in lstsq, naming no input
+    with pytest.raises(ValueError, match="C must be finite"):
+        radial_nonexistence_demo(C=C)
+
+
+def test_overflowing_profile_is_a_solver_failure():
+    # finite inputs whose profile overflows wrote inf and succeeded
+    p = ConcentricProblem(const_rho(), law(), 1e300, 0.0, 1.0, 2.0)
+    with pytest.raises(RuntimeError, match="concentric solution: .* is not finite"):
+        solve_concentric(p)
 
 
 # ------------------------------------------------------------ sampling
